@@ -124,7 +124,9 @@ Hdf5PfsRepository::prepare_transfer(NodeId client, const ArchGraph& g,
   Status status;
   if (fetch_payload) {
     // HDF5 partial read: fetch the TOC, then one ranged read per tensor of
-    // the prefix — each paying the PFS per-op cost.
+    // the prefix — each paying the PFS per-op cost. The reads charge the
+    // I/O; their zero-copy slices are dropped, since the tensors are taken
+    // from the layout parsed out of the peeked extents.
     std::string path = RedisQueries::weights_path(tc.ancestor);
     const auto* extents = pfs_->peek(path);
     if (extents == nullptr || extents->empty()) {

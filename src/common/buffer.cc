@@ -1,6 +1,7 @@
 #include "common/buffer.h"
 
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 
 #include "common/rng.h"
@@ -42,8 +43,9 @@ Buffer Buffer::copy(std::span<const std::byte> bytes) {
 
 Buffer Buffer::zeros(size_t size) { return dense(Bytes(size)); }
 
-Buffer Buffer::synthetic(size_t size, uint64_t seed) {
-  return Buffer(nullptr, 0, size, seed);
+Buffer Buffer::synthetic(size_t size, uint64_t seed, uint64_t stream_offset) {
+  assert(size <= UINT64_MAX - stream_offset);
+  return Buffer(nullptr, stream_offset, size, seed);
 }
 
 void Buffer::read(size_t offset, std::span<std::byte> out) const {

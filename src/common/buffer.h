@@ -4,8 +4,15 @@
 // in one of two representations:
 //
 //  - *dense*: backed by real bytes (shared, so slicing is zero-copy);
-//  - *synthetic*: defined by (seed, offset); byte i is a deterministic
-//    function of the seed, generated on demand.
+//  - *synthetic*: defined by (seed, stream offset, size); byte i is byte
+//    `offset + i` of the deterministic stream `seed`, generated on demand.
+//    Slicing a synthetic buffer advances the stream offset, so slices stay
+//    synthetic and never materialize.
+//
+// Serialized form (common/serde): a dense buffer travels as tag 0 plus its
+// bytes; a synthetic buffer at stream offset 0 as tag 1 (seed, size); any
+// other synthetic buffer as tag 2 (seed, offset, size). Either synthetic tag
+// is a descriptor of a few bytes, whatever the logical size.
 //
 // Synthetic buffers let benchmarks run paper-scale workloads (4 GB models on
 // 256 simulated GPUs) in a small resident footprint while every store and
@@ -36,8 +43,10 @@ class Buffer {
   static Buffer copy(std::span<const std::byte> bytes);
   /// Dense zero-filled buffer.
   static Buffer zeros(size_t size);
-  /// Synthetic buffer of `size` logical bytes drawn from stream `seed`.
-  static Buffer synthetic(size_t size, uint64_t seed);
+  /// Synthetic buffer of `size` logical bytes: stream `seed` from position
+  /// `stream_offset` on. Requires stream_offset + size not to overflow.
+  static Buffer synthetic(size_t size, uint64_t seed,
+                          uint64_t stream_offset = 0);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -45,6 +54,9 @@ class Buffer {
 
   /// Stream seed; only meaningful for synthetic buffers.
   uint64_t seed() const { return seed_; }
+  /// Stream position of logical byte 0; only meaningful for synthetic
+  /// buffers (0 unless the buffer is a slice).
+  uint64_t stream_offset() const { return offset_; }
 
   /// Bytes actually resident in host memory (0 for synthetic buffers).
   size_t resident_bytes() const { return data_ ? data_->size() : 0; }

@@ -5,35 +5,20 @@ namespace evostore::common {
 namespace {
 constexpr uint8_t kDenseTag = 0;
 constexpr uint8_t kSyntheticTag = 1;
+constexpr uint8_t kSyntheticSliceTag = 2;
 }  // namespace
 
 void Serializer::buffer(const Buffer& b) {
-  if (b.is_synthetic()) {
-    u8(kSyntheticTag);
-    // A sliced synthetic buffer has a nonzero base offset inside its stream;
-    // re-expressing it as (seed, size) would change content, so serialize the
-    // descriptor of the *slice* content by materializing in that rare case.
-    // Slices created by Buffer::slice keep the parent's seed with an offset
-    // we cannot represent, so we only fast-path offset-0 views.
-    Buffer probe = b.slice(0, std::min<size_t>(b.size(), 8));
-    Bytes head = probe.to_bytes();
-    Bytes expect(head.size());
-    for (size_t i = 0; i < expect.size(); ++i) {
-      expect[i] = Buffer::synthetic_byte(b.seed(), i);
-    }
-    if (head == expect) {
-      u64(b.seed());
-      u64(b.size());
-      return;
-    }
-    // Fall through to dense encoding for offset synthetic slices.
-    Bytes content = b.to_bytes();
-    out_.back() = static_cast<std::byte>(kDenseTag);
-    bytes(content);
+  if (!b.is_synthetic()) {
+    u8(kDenseTag);
+    bytes(b.dense_span());
     return;
   }
-  u8(kDenseTag);
-  bytes(b.dense_span());
+  bool sliced = b.stream_offset() != 0;
+  u8(sliced ? kSyntheticSliceTag : kSyntheticTag);
+  u64(b.seed());
+  if (sliced) u64(b.stream_offset());
+  u64(b.size());
 }
 
 uint8_t Deserializer::u8() {
@@ -83,13 +68,24 @@ Buffer Deserializer::buffer() {
   uint8_t tag = u8();
   if (!ok()) return {};
   switch (tag) {
-    case 0:
+    case kDenseTag:
       return Buffer::dense(bytes());
-    case 1: {
+    case kSyntheticTag: {
       uint64_t seed = u64();
       uint64_t size = u64();
       if (!ok()) return {};
       return Buffer::synthetic(size, seed);
+    }
+    case kSyntheticSliceTag: {
+      uint64_t seed = u64();
+      uint64_t offset = u64();
+      uint64_t size = u64();
+      if (!ok()) return {};
+      if (size > UINT64_MAX - offset) {
+        fail("synthetic slice runs past the end of its stream");
+        return {};
+      }
+      return Buffer::synthetic(size, seed, offset);
     }
     default:
       fail("unknown buffer tag");

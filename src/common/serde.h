@@ -43,8 +43,11 @@ class Serializer {
     varint(s.size());
     out_.insert(out_.end(), s.begin(), s.end());
   }
-  /// Serialize a Buffer preserving its representation: synthetic buffers
-  /// travel as (seed, size) descriptors, dense buffers as raw content.
+  /// Serialize a Buffer preserving its representation. Tags:
+  ///   0 dense:           length-prefixed raw content;
+  ///   1 synthetic:       (seed, size), a stream read from position 0;
+  ///   2 synthetic slice: (seed, offset, size), from stream position offset.
+  /// Both synthetic forms are exact descriptors; nothing is materialized.
   void buffer(const Buffer& b);
 
   /// Raw append with no length prefix (for framing composition).
@@ -82,6 +85,8 @@ class Deserializer {
   double f64();
   std::string str();
   Bytes bytes();
+  /// Decode any of the three Buffer tags (see Serializer::buffer). A tag-2
+  /// slice whose offset + size overflows the stream is Corruption.
   Buffer buffer();
 
   /// Remaining unread bytes (view; valid while the source span lives).

@@ -118,11 +118,16 @@ class DeltaVsAncestorCodec final : public Codec {
           if (bt == nullptr || bt->spec() != spec) {
             return Status::Corruption("delta diff record has no base tensor");
           }
+          // encode() only diffs dense against dense; a diff against a
+          // synthetic base is a malformed record, never a materialization.
+          if (bt->data().is_synthetic()) {
+            return Status::Corruption("delta diff record has a synthetic base");
+          }
           Bytes rle = d.bytes();
           if (!d.ok()) return d.status();
           Bytes content(nb);
           EVO_RETURN_IF_ERROR(zero_rle_decode(rle, content));
-          Bytes prev = bt->data().to_bytes();
+          auto prev = bt->data().dense_span();
           for (size_t j = 0; j < content.size(); ++j) {
             content[j] =
                 static_cast<std::byte>(static_cast<uint8_t>(content[j]) +

@@ -402,8 +402,14 @@ void Provider::restore_from_backend() {
   for (const auto& key : keys) {
     auto value = backend_->get(key);
     if (!value.ok()) continue;
-    common::Buffer buf = value.value().materialize();
-    common::Deserializer d(buf.dense_span());
+    // Every record is dense serde output; a synthetic value is corrupt, and
+    // reading it would allocate its full logical size.
+    if (value->is_synthetic()) {
+      EVO_WARN << "restore: synthetic value under '" << key
+               << "' is not a record";
+      continue;
+    }
+    common::Deserializer d(value->dense_span());
     if (key.rfind("chunk/", 0) == 0) {
       // Sorted iteration visits "chunk/" before "meta/" and "seg/", so every
       // chunk record is installed (at zero references) before any surviving

@@ -18,9 +18,10 @@ constexpr const char* kEpochKey = "repo/epoch";
 uint64_t bump_epoch(storage::KvStore& backend) {
   uint64_t stored = 0;
   auto value = backend.get(kEpochKey);
-  if (value.ok()) {
-    common::Buffer buf = value.value().materialize();
-    common::Deserializer d(buf.dense_span());
+  // The record is a dense varint; a synthetic value is corrupt, and reading
+  // it would allocate its full logical size.
+  if (value.ok() && !value->is_synthetic()) {
+    common::Deserializer d(value->dense_span());
     uint64_t v = d.u64();
     if (d.finish().ok()) stored = v;
   }

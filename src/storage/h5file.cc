@@ -53,8 +53,9 @@ std::vector<Buffer> H5Writer::finish() && {
 
 Result<H5Reader> H5Reader::open(std::vector<Buffer> extents) {
   if (extents.empty()) return Status::Corruption("empty file image");
-  Buffer toc_buf = extents[0].materialize();
-  common::Deserializer d(toc_buf.dense_span());
+  // The writer always emits a dense TOC; never materialize a synthetic one.
+  if (extents[0].is_synthetic()) return Status::Corruption("synthetic TOC");
+  common::Deserializer d(extents[0].dense_span());
   if (d.u32() != kMagic) return Status::Corruption("bad magic");
   if (d.u32() != kVersion) return Status::Corruption("unsupported version");
   H5Reader reader;

@@ -91,34 +91,34 @@ sim::CoTask<Result<std::vector<Buffer>>> Pfs::read(NodeId client,
   co_return it->second.extents;
 }
 
-sim::CoTask<Result<Buffer>> Pfs::read_range(NodeId client, std::string path,
-                                            size_t offset, size_t len) {
+sim::CoTask<Result<std::vector<Buffer>>> Pfs::read_range(NodeId client,
+                                                         std::string path,
+                                                         size_t offset,
+                                                         size_t len) {
   co_await mds_op();
   auto it = files_.find(path);
   if (it == files_.end()) {
     co_return Status::NotFound("pfs file '" + path + "'");
   }
   const File& file = it->second;
-  if (offset + len > file.size) {
+  if (len > file.size || offset > file.size - len) {
     co_return Status::OutOfRange("range past end of file");
   }
-  co_await data_transfer(client, file, len, /*to_ost=*/false);
-  // Assemble the logical range from the extent list.
-  common::Bytes out(len);
-  size_t out_pos = 0;
+  // Gather the range as extent slices before the transfer suspends us, so a
+  // concurrent overwrite or remove cannot pull the file out from under it.
+  std::vector<Buffer> slices;
+  size_t end = offset + len;
   size_t ext_start = 0;
   for (const auto& e : file.extents) {
+    if (ext_start >= end) break;
     size_t ext_end = ext_start + e.size();
-    if (ext_end > offset && ext_start < offset + len) {
-      size_t from = std::max(offset, ext_start) - ext_start;
-      size_t to = std::min(offset + len, ext_end) - ext_start;
-      e.read(from, std::span<std::byte>(out.data() + out_pos, to - from));
-      out_pos += to - from;
-    }
+    size_t from = std::max(offset, ext_start);
+    size_t to = std::min(end, ext_end);
+    if (from < to) slices.push_back(e.slice(from - ext_start, to - from));
     ext_start = ext_end;
-    if (ext_start >= offset + len) break;
   }
-  co_return Buffer::dense(std::move(out));
+  co_await data_transfer(client, file, len, /*to_ost=*/false);
+  co_return slices;
 }
 
 sim::CoTask<bool> Pfs::exists(NodeId client, std::string path) {

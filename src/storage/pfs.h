@@ -12,7 +12,10 @@
 // §5.1), which queues under bursts.
 //
 // File contents are held as scatter/gather lists of Buffers, so multi-GB
-// synthetic payloads are stored without materializing.
+// synthetic payloads are stored without materializing. Reads hand back the
+// same shape: a whole-file read returns the extents, and a range read
+// returns zero-copy slices of the extents it covers, so no read path ever
+// copies or generates payload bytes.
 #pragma once
 
 #include <map>
@@ -55,11 +58,14 @@ class Pfs {
   sim::CoTask<common::Result<std::vector<common::Buffer>>> read(
       common::NodeId client, std::string path);
 
-  /// Read `len` logical bytes starting at `offset`. Pays one metadata op
-  /// plus the transfer of just that range (small-range reads still pay the
-  /// per-op latency — the paper's "not optimized for small non-contiguous
-  /// transfers" effect).
-  sim::CoTask<common::Result<common::Buffer>> read_range(
+  /// Read `len` logical bytes starting at `offset`, as a gather list of
+  /// zero-copy slices of the extents the range covers (in file order; their
+  /// sizes sum to `len`). The slices share ownership of the stored extents,
+  /// so they stay valid after the file is overwritten or removed. Pays one
+  /// metadata op plus the transfer of just that range (small-range reads
+  /// still pay the per-op latency — the paper's "not optimized for small
+  /// non-contiguous transfers" effect).
+  sim::CoTask<common::Result<std::vector<common::Buffer>>> read_range(
       common::NodeId client, std::string path, size_t offset, size_t len);
 
   /// Metadata-only existence check.

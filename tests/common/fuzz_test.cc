@@ -3,6 +3,8 @@
 // a sticky error. Seeded and deterministic.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "core/wire.h"
 #include "storage/h5file.h"
@@ -66,6 +68,48 @@ TEST(Fuzz, DeserializerNeverCrashesOnRandomBytes) {
     (void)d.finish();  // must not crash; may be ok or error
   }
   SUCCEED();
+}
+
+TEST(Fuzz, SyntheticSliceDescriptorsRejectOrDecodeBounded) {
+  // Tag-2 (seed, offset, size) descriptors: a mutated one either decodes to
+  // a buffer that stays inside its stream or fails with Corruption; one whose
+  // offset + size overflows always fails. Nothing is ever materialized, so
+  // multi-TiB claims cost nothing.
+  Xoshiro256 rng(7);
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (int iter = 0; iter < 3000; ++iter) {
+    uint64_t offset = 1 + rng.below(kMax - 1);
+    Serializer s;
+    if (iter % 2 == 0) {
+      uint64_t size = kMax - offset + 1 + rng.below(offset);  // overflows
+      s.u8(2);
+      s.u64(rng.next());
+      s.u64(offset);
+      s.u64(size);
+      Deserializer d(s.data());
+      Buffer out = d.buffer();
+      ASSERT_EQ(d.status().code(), common::ErrorCode::kCorruption);
+      EXPECT_EQ(out.size(), 0u);
+      continue;
+    }
+    uint64_t size = 1 + rng.below(std::min(kMax - offset, uint64_t{1} << 42));
+    s.buffer(Buffer::synthetic(offset + size, rng.next()).slice(offset, size));
+    ASSERT_EQ(static_cast<uint8_t>(s.data()[0]), 2u);
+    Bytes mutated = mutate_bytes(s.data(), rng);
+    Deserializer d(mutated);
+    Buffer out = d.buffer();
+    common::Status st = d.finish();
+    if (!st.ok()) {
+      ASSERT_EQ(st.code(), common::ErrorCode::kCorruption);
+      continue;
+    }
+    if (out.is_synthetic()) {
+      ASSERT_LE(out.size(), kMax - out.stream_offset());
+      // Reading the last byte stays in bounds of the stream.
+      Bytes last(1);
+      out.read(out.size() - 1, last);
+    }
+  }
 }
 
 TEST(Fuzz, ArchGraphDecodeRejectsOrRoundTrips) {

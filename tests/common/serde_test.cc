@@ -92,13 +92,98 @@ TEST(Serde, SyntheticBufferTravelsAsDescriptor) {
   EXPECT_EQ(out.seed(), b.seed());
 }
 
-TEST(Serde, OffsetSyntheticSliceFallsBackToDense) {
+TEST(Serde, OffsetSyntheticSliceTravelsAsDescriptor) {
   Buffer b = Buffer::synthetic(100, 7).slice(10, 20);
   Serializer s;
   s.buffer(b);
+  EXPECT_LT(s.size(), 64u);  // descriptor, not payload
   Deserializer d(s.data());
   Buffer out = d.buffer();
+  EXPECT_TRUE(d.finish().ok());
+  EXPECT_TRUE(out.is_synthetic());
+  EXPECT_EQ(out.seed(), 7u);
+  EXPECT_EQ(out.stream_offset(), 10u);
+  EXPECT_EQ(out.size(), 20u);
   EXPECT_TRUE(out.content_equals(b));
+  // Byte-wise, not just by descriptor: the decoded slice reads the same
+  // bytes as a dense copy of the original.
+  EXPECT_TRUE(out.content_equals(b.materialize()));
+}
+
+TEST(Serde, LargeOffsetSyntheticSliceTravelsAsDescriptor) {
+  // A 4 GiB slice near the end of a 1 TiB stream.
+  const uint64_t stream = 1ull << 40;
+  const uint64_t len = 1ull << 32;
+  const uint64_t offset = stream - len - 5;
+  Buffer b = Buffer::synthetic(stream, 42).slice(offset, len);
+  Serializer s;
+  s.buffer(b);
+  EXPECT_LT(s.size(), 64u);
+  Deserializer d(s.data());
+  Buffer out = d.buffer();
+  EXPECT_TRUE(d.finish().ok());
+  EXPECT_TRUE(out.is_synthetic());
+  EXPECT_EQ(out.resident_bytes(), 0u);
+  EXPECT_EQ(out.stream_offset(), offset);
+  EXPECT_EQ(out.size(), len);
+  EXPECT_TRUE(out.content_equals(b));
+  // Spot-check the first and last bytes against the stream itself.
+  for (uint64_t i : {uint64_t{0}, uint64_t{1}, uint64_t{7}, len - 1}) {
+    Bytes one(1);
+    out.read(i, one);
+    EXPECT_EQ(one[0], Buffer::synthetic_byte(42, offset + i)) << i;
+  }
+}
+
+TEST(Serde, PinnedBufferEncodings) {
+  auto encode = [](const Buffer& b) {
+    Serializer s;
+    s.buffer(b);
+    return std::move(s).take();
+  };
+  auto bytes_of = [](std::initializer_list<int> v) {
+    Bytes out;
+    for (int x : v) out.push_back(static_cast<std::byte>(x));
+    return out;
+  };
+  // Tag 0: dense, length-prefixed content.
+  EXPECT_EQ(encode(Buffer::copy(bytes_of({0xab, 0xcd}))),
+            bytes_of({0x00, 0x02, 0xab, 0xcd}));
+  // Tag 1: synthetic at stream offset 0, (seed, size) — the encoding every
+  // stored and wire message has always used. Offset-0 slices keep it.
+  const Bytes tag1 = bytes_of({0x01, 0xb9, 0x60, 0x80, 0x80, 0x80, 0x80, 0x10});
+  EXPECT_EQ(encode(Buffer::synthetic(1ull << 32, 12345)), tag1);
+  EXPECT_EQ(encode(Buffer::synthetic(1ull << 33, 12345).slice(0, 1ull << 32)),
+            tag1);
+  // Tag 2: synthetic slice, (seed, offset, size).
+  EXPECT_EQ(encode(Buffer::synthetic(1000, 5).slice(300, 200)),
+            bytes_of({0x02, 0x05, 0xac, 0x02, 0xc8, 0x01}));
+}
+
+TEST(Serde, SyntheticSliceOverflowIsCorruption) {
+  auto decode = [](uint64_t offset, uint64_t size) {
+    Serializer s;
+    s.u8(2);
+    s.u64(9);
+    s.u64(offset);
+    s.u64(size);
+    Deserializer d(s.data());
+    Buffer out = d.buffer();
+    return std::make_pair(d.finish(), out);
+  };
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  // The last representable slice ends exactly at the end of the stream.
+  auto [fits, tail] = decode(kMax - 9, 9);
+  EXPECT_TRUE(fits.ok());
+  EXPECT_TRUE(tail.is_synthetic());
+  EXPECT_EQ(tail.stream_offset(), kMax - 9);
+  for (auto [offset, size] : {std::pair{kMax - 9, uint64_t{10}},
+                              std::pair{kMax, uint64_t{1}},
+                              std::pair{uint64_t{1}, kMax}}) {
+    auto [st, out] = decode(offset, size);
+    EXPECT_EQ(st.code(), ErrorCode::kCorruption) << offset << "+" << size;
+    EXPECT_EQ(out.size(), 0u);
+  }
 }
 
 TEST(Serde, TruncatedInputSetsStickyError) {

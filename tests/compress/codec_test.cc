@@ -163,6 +163,32 @@ TEST(Codec, DeltaDenseDiffCompressesSmallPerturbations) {
   EXPECT_TRUE(back.content_equals(child));
 }
 
+TEST(Codec, DeltaDiffAgainstSyntheticBaseIsCorruption) {
+  // encode() only diffs dense against dense. A diff record decoded against
+  // a synthetic base of the same spec is malformed: Corruption, with the
+  // base never materialized.
+  Segment base = dense_segment(1, 1024, 11);
+  Segment child = base;
+  common::Bytes bytes(base.tensors[0].data().size());
+  base.tensors[0].data().read(0, bytes);
+  bytes[3] ^= std::byte{0x40};
+  child.tensors[0] = Tensor(base.tensors[0].spec(),
+                            Buffer::copy(std::span<const std::byte>(bytes)));
+  auto env = compress_segment(child, CodecId::kDeltaVsAncestor, &base,
+                              &kBaseKey);
+  ASSERT_TRUE(env.ok());
+  ASSERT_EQ(env->codec, CodecId::kDeltaVsAncestor);
+  Segment synthetic_base = synthetic_segment(1, 1024, 11);
+  ASSERT_EQ(synthetic_base.tensors[0].spec(), base.tensors[0].spec());
+  auto seg = decompress_segment(*env, &synthetic_base);
+  EXPECT_FALSE(seg.ok());
+  EXPECT_EQ(seg.status().code(), common::ErrorCode::kCorruption);
+  // The same record still decodes against the dense base it was made from.
+  auto good = decompress_segment(*env, &base);
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(good->content_equals(child));
+}
+
 TEST(Codec, DeltaWithoutBaseFallsBackToRaw) {
   Segment seg = synthetic_segment(2, 256, 21);
   auto env = compress_segment(seg, CodecId::kDeltaVsAncestor);

@@ -219,5 +219,22 @@ TEST(PersistenceRecovery, CorruptBackendRecordIsSkipped) {
   EXPECT_TRUE(env.store(m, nullptr));
 }
 
+TEST(PersistenceRecovery, SyntheticRecordValuesAreRejectedUnread) {
+  // Records are dense serde output. 1 TiB synthetic values under a metadata
+  // key and the epoch key are corrupt and must be skipped without being
+  // materialized.
+  auto backend = std::make_unique<storage::MemKv>();
+  ASSERT_TRUE(
+      backend->put("meta/12345", common::Buffer::synthetic(1ull << 40, 1)).ok());
+  ASSERT_TRUE(
+      backend->put("repo/epoch", common::Buffer::synthetic(1ull << 40, 2)).ok());
+  RestartableEnv env(std::move(backend));
+  EXPECT_EQ(env.repo->token_epoch(), 1u);  // as if no epoch was stored
+  EXPECT_EQ(env.provider().model_count(), 0u);
+  auto g = testing::chain_graph(3, 8);
+  auto m = model::Model::random(env.repo->allocate_id(), g, 1);
+  EXPECT_TRUE(env.store(m, nullptr));
+}
+
 }  // namespace
 }  // namespace evostore::core

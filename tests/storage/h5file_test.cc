@@ -88,6 +88,14 @@ TEST(H5File, BadMagicRejected) {
             common::ErrorCode::kCorruption);
 }
 
+TEST(H5File, SyntheticTocRejectedUnread) {
+  // A 1 TiB synthetic TOC is corrupt; opening must not materialize it.
+  std::vector<Buffer> extents;
+  extents.push_back(Buffer::synthetic(1ull << 40, 3));
+  EXPECT_EQ(H5Reader::open(std::move(extents)).status().code(),
+            common::ErrorCode::kCorruption);
+}
+
 TEST(H5File, ExtentCountMismatchRejected) {
   H5Writer w;
   ASSERT_TRUE(w.put_dataset("/x", Tensor::zeros({{4}, DType::kF32})).ok());

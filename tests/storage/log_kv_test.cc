@@ -104,6 +104,27 @@ TEST_F(LogKvTest, SyntheticValuesPersistAsDescriptors) {
   EXPECT_LT(kv->value_bytes(), 64u);
 }
 
+TEST_F(LogKvTest, SyntheticSlicesPersistAsDescriptors) {
+  Buffer small = Buffer::synthetic(100, 7).slice(10, 20);
+  Buffer huge = Buffer::synthetic(1ull << 40, 8).slice(1ull << 39, 1ull << 32);
+  {
+    auto kv = open();
+    ASSERT_TRUE(kv->put("small", small).ok());
+    ASSERT_TRUE(kv->put("huge", huge).ok());
+  }
+  EXPECT_LT(std::filesystem::file_size(dir_ / "00000001.evl"), 1024u);
+  auto kv = open();
+  for (const auto& [key, want] : {std::pair{"small", small},
+                                  std::pair{"huge", huge}}) {
+    auto r = kv->get(key);
+    ASSERT_TRUE(r.ok()) << key;
+    EXPECT_TRUE(r->is_synthetic()) << key;
+    EXPECT_EQ(r->stream_offset(), want.stream_offset()) << key;
+    EXPECT_TRUE(r->content_equals(want)) << key;
+  }
+  EXPECT_TRUE(kv->get("small")->content_equals(small.materialize()));
+}
+
 TEST_F(LogKvTest, SegmentRollover) {
   LogKvOptions opt;
   opt.segment_max_bytes = 256;

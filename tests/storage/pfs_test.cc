@@ -36,6 +36,15 @@ struct Env {
   }
 };
 
+common::Bytes concat(const std::vector<Buffer>& slices) {
+  common::Bytes out;
+  for (const Buffer& b : slices) {
+    common::Bytes part = b.to_bytes();
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
 TEST(Pfs, WriteReadRoundTrip) {
   Env env;
   auto task = [&]() -> CoTask<bool> {
@@ -128,9 +137,70 @@ TEST(Pfs, ReadRangeAssemblesAcrossExtents) {
     EXPECT_TRUE(wst.ok());
     auto r = co_await env.pfs->read_range(env.client, "/f", 90, 30);
     EXPECT_TRUE(r.ok());
-    co_return r.ok() && r->to_bytes() == expected;
+    co_return r.ok() && concat(*r) == expected;
   };
   EXPECT_TRUE(env.sim.run_until_complete(task()));
+}
+
+TEST(Pfs, ReadRangeReturnsZeroCopyExtentSlices) {
+  // Two 2 GiB synthetic extents; a 1 GiB read straddling their boundary
+  // must come back as slices that generate nothing.
+  Env env;
+  const size_t kExtent = size_t{2} << 30;
+  const size_t kLen = size_t{1} << 30;
+  const size_t kOffset = kExtent - kLen / 2;
+  auto task = [&]() -> CoTask<bool> {
+    std::vector<Buffer> extents{Buffer::synthetic(kExtent, 11),
+                                Buffer::synthetic(kExtent, 12)};
+    auto wst = co_await env.pfs->write(env.client, "/big", std::move(extents));
+    EXPECT_TRUE(wst.ok());
+    auto r = co_await env.pfs->read_range(env.client, "/big", kOffset, kLen);
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return false;
+    size_t total = 0;
+    for (const Buffer& b : *r) {
+      EXPECT_EQ(b.resident_bytes(), 0u);
+      total += b.size();
+    }
+    EXPECT_EQ(total, kLen);
+    EXPECT_EQ(r->size(), 2u);
+    if (r->size() != 2) co_return false;
+    // 64 bytes on each side of the boundary match the source streams.
+    common::Bytes before(64);
+    common::Bytes after(64);
+    (*r)[0].read((*r)[0].size() - 64, before);
+    (*r)[1].read(0, after);
+    for (size_t i = 0; i < 64; ++i) {
+      EXPECT_EQ(before[i], Buffer::synthetic_byte(11, kExtent - 64 + i)) << i;
+      EXPECT_EQ(after[i], Buffer::synthetic_byte(12, i)) << i;
+    }
+    co_return true;
+  };
+  EXPECT_TRUE(env.sim.run_until_complete(task()));
+}
+
+TEST(Pfs, ReadRangeSlicesOutliveTheFile) {
+  Env env;
+  common::Bytes content(300);
+  for (size_t i = 0; i < content.size(); ++i) {
+    content[i] = static_cast<std::byte>(i * 7);
+  }
+  auto task = [&]() -> CoTask<std::vector<Buffer>> {
+    std::vector<Buffer> extents{
+        Buffer::copy(std::span(content).first(100)),
+        Buffer::copy(std::span(content).subspan(100))};
+    auto wst = co_await env.pfs->write(env.client, "/f", std::move(extents));
+    EXPECT_TRUE(wst.ok());
+    auto r = co_await env.pfs->read_range(env.client, "/f", 50, 200);
+    EXPECT_TRUE(r.ok());
+    auto st = co_await env.pfs->remove(env.client, "/f");
+    EXPECT_TRUE(st.ok());
+    co_return r.ok() ? std::move(r).value() : std::vector<Buffer>{};
+  };
+  std::vector<Buffer> slices = env.sim.run_until_complete(task());
+  EXPECT_EQ(env.pfs->file_count(), 0u);
+  EXPECT_EQ(concat(slices),
+            common::Bytes(content.begin() + 50, content.begin() + 250));
 }
 
 TEST(Pfs, ReadRangePastEndFails) {
