@@ -1,17 +1,10 @@
 // Micro-benchmarks for Algorithm 1 (LCP) — the provider-side inner loop of
-// every collective metadata query — and for the catalog prefix index
-// (DESIGN.md §16) that replaces the scan at catalog scale.
-//
-// `--index` is shorthand for `--benchmark_filter=Index`: it runs just the
-// scan-vs-index pair (build, lookup, and the same-catalog scan baseline)
-// whose output lands in bench/data/micro_lcp_index.txt.
+// every collective metadata query.
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <vector>
 
 #include "core/lcp.h"
-#include "core/prefix_index.h"
 #include "tests/core/test_env.h"
 #include "workload/deepspace.h"
 
@@ -19,7 +12,6 @@ namespace {
 
 using namespace evostore;
 using core::testing::chain_graph;
-using core::testing::widths_graph;
 
 void BM_LcpIdenticalChain(benchmark::State& state) {
   auto g = chain_graph(static_cast<int>(state.range(0)), 64);
@@ -97,79 +89,6 @@ void BM_LcpCatalogScan(benchmark::State& state) {
 }
 BENCHMARK(BM_LcpCatalogScan)->Arg(100)->Arg(1000)->Arg(10000);
 
-// ---- catalog prefix index (scan-vs-index microcosts) ----------------------
-
-// Fine-tune families of linear chains: 64 members per family sharing a
-// spine, tails mutated — the ablation_lcp_index catalog shape.
-std::vector<model::ArchGraph> family_catalog(int64_t n) {
-  std::vector<model::ArchGraph> catalog;
-  catalog.reserve(n);
-  for (int64_t i = 0; i < n; ++i) {
-    uint64_t family = static_cast<uint64_t>(i) / 64;
-    common::Xoshiro256 rng(0x5eedULL + family * 0x9e3779b97f4a7c15ULL);
-    size_t len = 6 + rng.below(7);
-    std::vector<int64_t> w(len);
-    w[0] = 8 + static_cast<int64_t>(family % 61);
-    for (size_t j = 1; j < len; ++j) {
-      w[j] = 16 + 8 * static_cast<int64_t>(rng.below(4));
-    }
-    if (i % 64 != 0) {
-      common::Xoshiro256 mrng(static_cast<uint64_t>(i) * 0xda942042e4dd58b5ULL);
-      for (size_t j = len - 1 - mrng.below(2); j < len; ++j) {
-        w[j] = 17 + 8 * static_cast<int64_t>(mrng.below(4));
-      }
-    }
-    catalog.push_back(widths_graph(w));
-  }
-  return catalog;
-}
-
-void BM_LcpIndexBuild(benchmark::State& state) {
-  auto catalog = family_catalog(state.range(0));
-  for (auto _ : state) {
-    core::PrefixIndex idx;
-    for (size_t i = 0; i < catalog.size(); ++i) {
-      idx.insert(common::ModelId{i + 1}, 0.5, catalog[i]);
-    }
-    benchmark::DoNotOptimize(idx.node_count());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LcpIndexBuild)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_LcpIndexLookup(benchmark::State& state) {
-  auto catalog = family_catalog(state.range(0));
-  core::PrefixIndex idx;
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    idx.insert(common::ModelId{i + 1}, 0.5, catalog[i]);
-  }
-  // Queries cycle through stored members: deep trie walks, realistic hits.
-  size_t q = 0;
-  for (auto _ : state) {
-    auto hit = idx.lookup(catalog[(q += 17) % catalog.size()]);
-    benchmark::DoNotOptimize(hit.best);
-  }
-}
-BENCHMARK(BM_LcpIndexLookup)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_LcpIndexScanBaseline(benchmark::State& state) {
-  // The cost the index replaces: a full Algorithm 1 scan of the SAME
-  // family catalog (compare against BM_LcpIndexLookup at equal Arg).
-  auto catalog = family_catalog(state.range(0));
-  core::LcpWorkspace ws;
-  size_t q = 0;
-  for (auto _ : state) {
-    const auto& query = catalog[(q += 17) % catalog.size()];
-    size_t best = 0;
-    for (const auto& a : catalog) {
-      best = std::max(best, ws.run(query, a, nullptr).length());
-    }
-    benchmark::DoNotOptimize(best);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LcpIndexScanBaseline)->Arg(1000)->Arg(10000);
-
 void BM_LcpWorkspaceVsFresh(benchmark::State& state) {
   auto g = chain_graph(50, 64);
   auto a = chain_graph(50, 64, 10);
@@ -187,21 +106,3 @@ void BM_LcpWorkspaceVsFresh(benchmark::State& state) {
 BENCHMARK(BM_LcpWorkspaceVsFresh)->Arg(0)->Arg(1);
 
 }  // namespace
-
-// Custom main so `--index` maps onto the benchmark filter; everything else
-// passes straight through to google-benchmark (our definition wins over the
-// one in benchmark_main, which the linker only pulls when main is
-// undefined).
-int main(int argc, char** argv) {
-  std::string filter = "--benchmark_filter=Index";
-  std::vector<char*> args(argv, argv + argc);
-  for (char*& arg : args) {
-    if (std::string(arg) == "--index") arg = filter.data();
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

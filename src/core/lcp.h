@@ -14,12 +14,11 @@
 // predecessor outside the prefix in either graph can never be eligible).
 //
 // One run compares a query against ONE stored model; a provider answering
-// `find_ancestor` at paper scale scans its whole catalog this way. At
-// catalog scale that scan is the dominant cost — the prefix index
-// (core/prefix_index.h, DESIGN.md §16) replaces it with an O(prefix depth)
-// trie walk plus a single confirming `run`, keeping this header as the
-// exactness oracle (scan fallback, `lcp_index_verify`, and the `--verify`
-// benches all re-answer through it).
+// `find_ancestor` scans its whole local catalog this way and keeps the best
+// by (prefix length, quality, lower id). That scan is the only serving path
+// (a prefix trie is exact only for linear chains, DESIGN.md §16), so this
+// header is also the test oracle: brute-force `longest_common_prefix` over a
+// catalog must reproduce every provider answer.
 #pragma once
 
 #include <cstdint>

@@ -110,10 +110,6 @@ class Membership {
   void retire_provider(common::ProviderId p) {
     if (p < live_.size()) live_[p] = false;
   }
-  /// Re-admit a provider (used by repair once a rebuilt provider rejoins).
-  void admit_provider(common::ProviderId p) {
-    if (p < live_.size()) live_[p] = true;
-  }
 
   const std::vector<bool>& live() const { return live_; }
 

@@ -365,7 +365,6 @@ void Provider::dedup_store(uint64_t token, const common::Bytes& response) {
 void Provider::restart() {
   ++stats_.restarts;
   models_.clear();
-  lcp_index_.clear();
   segments_.clear();
   cache_dir_.clear();
   pins_.clear();
@@ -546,16 +545,6 @@ void Provider::restore_from_backend() {
   if (orphans > 0) {
     EVO_INFO << "restore: dropped " << orphans << " orphaned chunk(s)";
   }
-  // Rebuild the prefix index from the restored catalog. Like the chunk
-  // store it is derived state — never persisted, always reconstructed.
-  // model_ids() sorts, so the rebuild inserts in deterministic order.
-  if (config_.lcp_index) {
-    lcp_index_.clear();
-    for (ModelId id : model_ids()) {
-      const MetaRecord& meta = models_.at(id);
-      lcp_index_.insert(id, meta.quality, meta.graph);
-    }
-  }
 }
 
 sim::CoTask<void> Provider::charge_pool(double bytes) {
@@ -712,10 +701,7 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
     commit.tag_u64("segments", req.new_segments.size());
     commit.tag("backed", backend_ != nullptr ? "true" : "false");
     persist_meta(req.id, meta);
-    auto [mit, inserted] = models_.emplace(req.id, std::move(meta));
-    if (config_.lcp_index && inserted) {
-      lcp_index_.insert(req.id, mit->second.quality, mit->second.graph);
-    }
+    models_.emplace(req.id, std::move(meta));
     for (auto& [v, env] : req.new_segments) {
       common::SegmentKey key{req.id, v};
       stats_.logical_bytes_ingested += env.logical_bytes;
@@ -947,7 +933,6 @@ sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
   resp.owners = std::move(it->second.owners);
   // Metadata is removed eagerly; segment payloads survive until their
   // reference counts (decremented by the client fan-out) reach zero.
-  if (config_.lcp_index) (void)lcp_index_.remove(req.id, it->second.graph);
   models_.erase(it);
   erase_meta(req.id);
   resp.status = Status::Ok();
@@ -963,139 +948,42 @@ sim::CoTask<Bytes> Provider::handle_lcp_query(Bytes request,
   auto req = wire::LcpQueryRequest::deserialize(d);
   wire::LcpQueryResponse resp;
   if (!d.ok()) co_return pack(resp);
-  obs::Span span = obs::Tracer::maybe_begin(
-      tracer(), config_.lcp_index ? "lcp_index" : "lcp_scan", node_,
-      ctx.trace);
+  obs::Span span =
+      obs::Tracer::maybe_begin(tracer(), "lcp_scan", node_, ctx.trace);
   ++stats_.lcp_queries;
+  // Scan the local catalog with Algorithm 1; keep the best by
+  // (prefix length, quality, lower id).
   LcpCost cost;
   LcpWorkspace ws;
-  // Scan the local catalog with Algorithm 1; keep the best by
-  // (prefix length, quality, lower id). Also the verify oracle and the
-  // fallback body for the index path below.
-  auto scan_catalog = [&](wire::LcpQueryResponse& out, LcpCost* c) {
-    for (const auto& [id, meta] : models_) {
-      LcpResult r = ws.run(req.graph, meta.graph, c);
-      if (r.length() == 0) continue;
-      bool better = false;
-      if (!out.found) {
-        better = true;
-      } else if (r.length() != out.matches.size()) {
-        better = r.length() > out.matches.size();
-      } else if (meta.quality != out.quality) {
-        better = meta.quality > out.quality;
-      } else {
-        better = id < out.ancestor;
-      }
-      if (better) {
-        out.found = true;
-        out.ancestor = id;
-        out.quality = meta.quality;
-        out.matches = std::move(r.matches);
-      }
-    }
-  };
-  bool scan_needed = !config_.lcp_index;
-  bool fallback = false;
-  const char* outcome = "index";
-  PrefixIndex::LookupResult hit;
-  if (config_.lcp_index) {
-    // Index path (DESIGN.md §16): walk the query's canonical token path to
-    // the deepest populated trie node — O(prefix depth) — then confirm the
-    // per-subtree best candidate with ONE exact Algorithm 1 run. The trie
-    // answer is provably the scan's answer only inside the linear-chain
-    // family (see prefix_index.h): a branchy query, or any branchy model in
-    // the catalog, can beat the trie's answer set from a sibling subtree,
-    // so those queries go straight to the scan.
-    if (!lcp_index_.all_linear() || !is_linear(req.graph)) {
-      fallback = true;
-      outcome = "nonlinear_scan";
+  for (const auto& [id, meta] : models_) {
+    LcpResult r = ws.run(req.graph, meta.graph, &cost);
+    if (r.length() == 0) continue;
+    bool better = false;
+    if (!resp.found) {
+      better = true;
+    } else if (r.length() != resp.matches.size()) {
+      better = r.length() > resp.matches.size();
+    } else if (meta.quality != resp.quality) {
+      better = meta.quality > resp.quality;
     } else {
-      std::vector<common::Hash128> tokens = prefix_tokens(req.graph);
-      hit = lcp_index_.lookup(tokens);
-      // Token computation touches each query vertex once; the walk touches
-      // one trie node per shared level. Both are catalog-size independent.
-      cost.vertex_visits += tokens.size() + hit.nodes_visited;
-      if (hit.found) {
-        auto mit = models_.find(hit.best);
-        LcpResult r;
-        if (mit != models_.end()) {
-          r = ws.run(req.graph, mit->second.graph, &cost);
-        }
-        if (mit == models_.end() || r.length() != hit.depth) {
-          fallback = true;
-          outcome = "fallback_scan";
-        } else {
-          resp.found = true;
-          resp.ancestor = hit.best;
-          resp.quality = mit->second.quality;
-          resp.matches = std::move(r.matches);
-        }
-      }
-      // hit.found == false needs no fallback: token 0 is a function of the
-      // root signature alone, so a root-token miss means no stored model
-      // shares the query's root signature and every scan LCP is empty too.
+      better = id < resp.ancestor;
     }
-    if (fallback) {
-      ++stats_.lcp_index_fallback_scans;
-      scan_needed = true;
-    } else {
-      ++stats_.lcp_index_answers;
+    if (better) {
+      resp.found = true;
+      resp.ancestor = id;
+      resp.quality = meta.quality;
+      resp.matches = std::move(r.matches);
     }
   }
-  if (scan_needed) {
-    resp = wire::LcpQueryResponse{};
-    scan_catalog(resp, &cost);
-    stats_.lcp_models_scanned += models_.size();
-  }
+  stats_.lcp_models_scanned += models_.size();
   stats_.lcp_vertex_visits += cost.vertex_visits;
-  // Verify oracle: re-answer from the full scan and compare. The oracle's
-  // work is charged to a separate cost so verified runs keep index-shaped
-  // timing and counters; the scan's answer wins a disagreement.
-  if (config_.lcp_index && config_.lcp_index_verify && !scan_needed) {
-    wire::LcpQueryResponse oracle;
-    LcpCost oracle_cost;
-    scan_catalog(oracle, &oracle_cost);
-    bool same = oracle.found == resp.found &&
-                oracle.ancestor == resp.ancestor &&
-                oracle.quality == resp.quality && oracle.matches == resp.matches;
-    if (!same) {
-      ++stats_.lcp_index_verify_mismatches;
-      EVO_WARN << "lcp_index verify mismatch on provider " << id_
-               << ": index answered model "
-               << (resp.found ? resp.ancestor.to_string() : "<none>")
-               << " depth " << resp.matches.size() << ", scan answered "
-               << (oracle.found ? oracle.ancestor.to_string() : "<none>")
-               << " depth " << oracle.matches.size();
-      resp = std::move(oracle);
-    }
-  }
-  // Charge the CPU time of whichever path served (the map step of the
-  // collective query): the scan pays a per-model term, the index does not.
+  // Charge the scan's CPU time (the map step of the collective query).
   co_await sim_->delay(
-      (scan_needed ? config_.lcp_per_model_seconds *
-                         static_cast<double>(models_.size())
-                   : 0.0) +
+      config_.lcp_per_model_seconds * static_cast<double>(models_.size()) +
       config_.lcp_visit_seconds * static_cast<double>(cost.vertex_visits));
-  if (scan_needed) span.tag_u64("models_scanned", models_.size());
+  span.tag_u64("models_scanned", models_.size());
   span.tag_u64("vertex_visits", cost.vertex_visits);
   span.tag("found", resp.found ? "true" : "false");
-  if (config_.lcp_index) {
-    span.tag_u64("index_depth", hit.depth);
-    span.tag_u64("index_candidates", hit.candidates);
-    span.tag("index_outcome", outcome);
-    if (obs::EventLog* ev = events()) {
-      // One flight-recorder record per indexed query: how deep the token
-      // walk got, how many catalog models share that prefix, what the
-      // whole answer cost, and whether the exactness guard bailed to the
-      // scan. obsq time-series over these shows the index staying
-      // catalog-size independent.
-      ev->record(sim_->now(), "lcp.index", node_,
-                 {{"depth", obs::EventLog::u64(hit.depth)},
-                  {"candidates", obs::EventLog::u64(hit.candidates)},
-                  {"visits", obs::EventLog::u64(cost.vertex_visits)},
-                  {"fallback", fallback ? "1" : "0"}});
-    }
-  }
   record(hist_lcp_seconds_, shared_lcp_seconds_, sim_->now() - t0);
   co_return pack(resp);
 }
@@ -1308,10 +1196,7 @@ sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
     meta.store_time = req.store_time;
     meta.store_seq = ++seq_;
     persist_meta(req.id, meta);
-    auto [mit, inserted] = models_.emplace(req.id, std::move(meta));
-    if (config_.lcp_index && inserted) {
-      lcp_index_.insert(req.id, mit->second.quality, mit->second.graph);
-    }
+    models_.emplace(req.id, std::move(meta));
     resp.installed_meta = true;
     ++stats_.replica_installed_models;
   }
@@ -1604,7 +1489,6 @@ sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
   segments_.clear();
   for (auto& [id, meta] : models_) erase_meta(id);
   models_.clear();
-  lcp_index_.clear();
   cache_dir_.clear();
   for (auto& [epoch, keys] : pins_) {
     for (auto& [key, count] : keys) persist_pin(epoch, key, 0);
@@ -1745,10 +1629,6 @@ sim::CoTask<Bytes> Provider::handle_get_stats(Bytes request) {
   resp.replica_chunks_fetched = stats_.replica_chunks_fetched;
   resp.drain_models_moved = stats_.drain_models_moved;
   resp.drain_segments_moved = stats_.drain_segments_moved;
-  resp.lcp_index_answers = stats_.lcp_index_answers;
-  resp.lcp_index_fallback_scans = stats_.lcp_index_fallback_scans;
-  resp.lcp_index_nodes = lcp_index_.node_count();
-  resp.lcp_index_bytes = config_.lcp_index ? lcp_index_.memory_bytes() : 0;
   for (size_t i = 0; i < compress::kCodecCount; ++i) {
     const auto& u = codec_usage_[i];
     if (u.segments == 0) continue;

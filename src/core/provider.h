@@ -22,7 +22,6 @@
 #include "compress/chunker.h"
 #include "compress/codec.h"
 #include "compress/compressed_segment.h"
-#include "core/prefix_index.h"
 #include "core/wire.h"
 #include "net/rpc.h"
 #include "obs/metrics.h"
@@ -64,20 +63,6 @@ struct ProviderConfig {
   /// chunk fetches): a down peer must fail the call, not hang the drain or
   /// repair pass.
   double peer_rpc_timeout = 1.0;
-  /// Sublinear LCP serving (DESIGN.md §16): maintain the catalog prefix
-  /// index and answer `evostore.lcp_query` from it in O(prefix depth)
-  /// instead of scanning O(catalog) models. The serving path verifies each
-  /// index answer with one exact Algorithm 1 run against the chosen
-  /// candidate and falls back to the full scan if the lengths disagree, so
-  /// answers always match the scan's. Off by default: the scan is the
-  /// reference path at paper scale.
-  bool lcp_index = false;
-  /// Oracle mode (testing): with the index on, ALSO run the full catalog
-  /// scan on every query and compare answers field-for-field. Mismatches
-  /// are counted, logged, and the scan's answer is served. Latency is
-  /// charged for the index path only, so verified runs keep index-shaped
-  /// timing.
-  bool lcp_index_verify = false;
 };
 
 struct ProviderStats {
@@ -127,14 +112,6 @@ struct ProviderStats {
   /// Catalog entries this provider migrated away when drained.
   uint64_t drain_models_moved = 0;
   uint64_t drain_segments_moved = 0;
-  // Catalog prefix index (DESIGN.md §16).
-  /// LCP queries answered from the index without scanning the catalog.
-  uint64_t lcp_index_answers = 0;
-  /// Index answers discarded because the exact LCP length against the
-  /// chosen candidate disagreed with the trie depth (full scan ran instead).
-  uint64_t lcp_index_fallback_scans = 0;
-  /// Oracle disagreements seen under `lcp_index_verify` (should stay 0).
-  uint64_t lcp_index_verify_mismatches = 0;
 };
 
 class Provider {
@@ -202,9 +179,6 @@ class Provider {
   size_t pin_ledger_size() const;
   const ProviderStats& stats() const { return stats_; }
   std::vector<common::ModelId> model_ids() const;
-  /// The catalog prefix index (empty unless config.lcp_index): node/model
-  /// counts and the memory-footprint model for tests, benches, and stats.
-  const PrefixIndex& prefix_index() const { return lcp_index_; }
 
   /// Always-on local metrics (sim-time latencies + payload sizes per
   /// operation class). Exported as histogram digests in StatsResponse so
@@ -430,10 +404,6 @@ class Provider {
   size_t inline_physical_bytes_ = 0;  // the kInline subset of physical_bytes_
   storage::ChunkStore chunk_store_;
   compress::CodecUsageTable codec_usage_{};
-  /// Catalog prefix index (DESIGN.md §16), maintained on every catalog
-  /// mutation when config.lcp_index is set; rebuilt (not restored) on
-  /// restart, like the chunk store. Empty when the flag is off.
-  PrefixIndex lcp_index_;
   ProviderStats stats_;
 
   // Local per-operation histograms (sim-time seconds / payload bytes), fed

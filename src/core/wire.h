@@ -943,11 +943,6 @@ struct StatsResponse {
   uint64_t replica_chunks_fetched = 0;      // chunk bodies pulled from peers
   uint64_t drain_models_moved = 0;          // metas migrated by evostore.drain
   uint64_t drain_segments_moved = 0;        // segments migrated by drain
-  // Catalog prefix index (DESIGN.md §16).
-  uint64_t lcp_index_answers = 0;         // queries answered without a scan
-  uint64_t lcp_index_fallback_scans = 0;  // index bypassed (depth mismatch)
-  uint64_t lcp_index_nodes = 0;           // live trie nodes
-  uint64_t lcp_index_bytes = 0;           // index memory footprint model
   std::vector<CodecUsageEntry> codecs;
   // Per-provider histogram digests (name-ordered: providers export their
   // registry with std::map iteration, so the wire order is deterministic).
@@ -982,10 +977,6 @@ struct StatsResponse {
     s.u64(replica_chunks_fetched);
     s.u64(drain_models_moved);
     s.u64(drain_segments_moved);
-    s.u64(lcp_index_answers);
-    s.u64(lcp_index_fallback_scans);
-    s.u64(lcp_index_nodes);
-    s.u64(lcp_index_bytes);
     s.u64(codecs.size());
     for (const auto& c : codecs) {
       s.u8(static_cast<uint8_t>(c.codec));
@@ -1026,10 +1017,6 @@ struct StatsResponse {
     r.replica_chunks_fetched = d.u64();
     r.drain_models_moved = d.u64();
     r.drain_segments_moved = d.u64();
-    r.lcp_index_answers = d.u64();
-    r.lcp_index_fallback_scans = d.u64();
-    r.lcp_index_nodes = d.u64();
-    r.lcp_index_bytes = d.u64();
     uint64_t n = d.u64();
     if (!d.check_count(n, 4)) return r;
     r.codecs.reserve(n);
@@ -1090,10 +1077,6 @@ inline StatsResponse merge_stats(const std::vector<StatsResponse>& parts) {
     total.replica_chunks_fetched += p.replica_chunks_fetched;
     total.drain_models_moved += p.drain_models_moved;
     total.drain_segments_moved += p.drain_segments_moved;
-    total.lcp_index_answers += p.lcp_index_answers;
-    total.lcp_index_fallback_scans += p.lcp_index_fallback_scans;
-    total.lcp_index_nodes += p.lcp_index_nodes;
-    total.lcp_index_bytes += p.lcp_index_bytes;
     for (const CodecUsageEntry& c : p.codecs) {
       auto it = std::find_if(codecs.begin(), codecs.end(),
                              [&](const auto& e) { return e.codec == c.codec; });

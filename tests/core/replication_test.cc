@@ -4,15 +4,19 @@
 // its replica peers (pulling content-addressed chunk bodies from whichever
 // peer has them); drain migrating a provider's catalog to its successor
 // replicas; and the whole handoff cycle surviving a network partition whose
-// heal re-delivers held messages in a reordered order.
+// heal re-delivers held messages in a reordered order. Across all of these,
+// `find_ancestor` keeps answering exactly what a brute-force LCP over the
+// live catalog answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 
+#include "core/lcp.h"
 #include "net/fault.h"
 #include "storage/mem_kv.h"
 #include "tests/core/test_env.h"
+#include "workload/deepspace.h"
 
 namespace evostore::core {
 namespace {
@@ -428,6 +432,110 @@ TEST(Replication, HandoffReplaySurvivesPartitionWithReorderedHeal) {
     replayed += env.repo->provider(p).stats().hints_replayed;
   }
   EXPECT_GT(replayed, 0u);
+}
+
+// The scan-path LCP oracle through the catalog lifecycle: branchy DeepSpace
+// graphs (distinct qualities, plus duplicate graphs whose quality ties force
+// the lower-id rule) must get exactly the brute-force answer — best by
+// (prefix length, quality, lower id) over the LIVE catalog — after puts, a
+// retire, a drain, a wipe-and-repair, and a crash-restart from the backend.
+TEST(Replication, FindAncestorMatchesBruteForceThroughLifecycle) {
+  struct Entry {
+    ModelId id;
+    double quality;
+    model::ArchGraph graph;
+  };
+  ReplEnv env(4);
+  workload::DeepSpace space;
+  common::Xoshiro256 rng(21);
+  std::vector<Entry> live;
+  auto store = [&](const model::ArchGraph& g, double quality) {
+    model::Model m(env.repo->allocate_id(), g);
+    m.set_quality(quality);
+    ASSERT_TRUE(env.run(env.put(m)).ok());
+    live.push_back({m.id(), quality, g});
+  };
+  std::vector<workload::DeepSpaceSeq> queries;
+  for (int family = 0; family < 6; ++family) {
+    auto base = space.random(rng);
+    store(space.decode_graph(base), 0.1 * family);
+    auto child = space.mutate(base, rng);
+    store(space.decode_graph(child), 0.05 + 0.1 * family);
+    // Same graph, same quality: only the lower id may win.
+    store(space.decode_graph(child), 0.05 + 0.1 * family);
+    queries.push_back(space.mutate(base, rng));
+    queries.push_back(space.mutate(child, rng));
+    queries.push_back(child);
+  }
+  queries.push_back(space.random(rng));
+
+  auto expect_oracle = [&](const char* phase) {
+    size_t found = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      model::ArchGraph q = space.decode_graph(queries[i]);
+      const Entry* best = nullptr;
+      LcpResult best_r;
+      for (const Entry& e : live) {
+        LcpResult r = longest_common_prefix(q, e.graph);
+        if (r.length() == 0) continue;
+        bool better = best == nullptr || r.length() > best_r.length() ||
+                      (r.length() == best_r.length() &&
+                       (e.quality > best->quality ||
+                        (e.quality == best->quality && e.id < best->id)));
+        if (better) {
+          best = &e;
+          best_r = std::move(r);
+        }
+      }
+      auto got = env.run(env.client().query_lcp(q));
+      ASSERT_TRUE(got.ok()) << phase << " query " << i;
+      ASSERT_EQ(got->found, best != nullptr) << phase << " query " << i;
+      if (best == nullptr) continue;
+      ++found;
+      EXPECT_EQ(got->ancestor, best->id) << phase << " query " << i;
+      EXPECT_EQ(got->quality, best->quality) << phase << " query " << i;
+      EXPECT_EQ(got->matches, best_r.matches) << phase << " query " << i;
+    }
+    EXPECT_GT(found, 0u) << phase;
+  };
+  expect_oracle("after puts");
+
+  // Retire the first of each tied pair: the lower id leaves, so the
+  // higher-id twin must now win those queries.
+  std::vector<ModelId> retired;
+  for (size_t i = 1; i < live.size(); i += 3) retired.push_back(live[i].id);
+  for (ModelId id : retired) {
+    ASSERT_TRUE(env.run(env.repo->retire(env.worker, id)).ok());
+  }
+  std::erase_if(live, [&](const Entry& e) {
+    return std::find(retired.begin(), retired.end(), e.id) != retired.end();
+  });
+  expect_oracle("after retire");
+
+  ASSERT_TRUE(env.run(env.repo->drain_provider(1)).ok());
+  expect_oracle("after drain");
+
+  // Permanent loss of provider 0, rebuilt by anti-entropy repair.
+  constexpr ProviderId kLost = 0;
+  env.injector.crash_node(env.provider_nodes[kLost]);
+  for (const std::string& key : env.backends[kLost]->keys()) {
+    ASSERT_TRUE(env.backends[kLost]->erase(key).ok());
+  }
+  env.injector.restart_node(env.provider_nodes[kLost]);
+  env.settle(0.1);
+  ASSERT_EQ(env.repo->provider(kLost).model_count(), 0u);
+  ASSERT_TRUE(env.run(env.repo->repair_provider(kLost)).ok());
+  EXPECT_GT(env.repo->provider(kLost).model_count(), 0u);
+  expect_oracle("after repair");
+
+  // Crash-restart with the backend intact: the catalog is restored from it.
+  constexpr ProviderId kRestarted = 2;
+  env.injector.crash_node(env.provider_nodes[kRestarted]);
+  env.injector.restart_node(env.provider_nodes[kRestarted]);
+  env.settle(2.0);
+  EXPECT_GE(env.repo->provider(kRestarted).stats().restarts, 1u);
+  EXPECT_GT(env.repo->provider(kRestarted).model_count(), 0u);
+  expect_oracle("after restart");
 }
 
 }  // namespace

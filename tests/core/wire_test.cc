@@ -241,10 +241,6 @@ TEST(Wire, StatsMessages) {
   resp.not_modified_reads = 6;
   resp.redirects_issued = 2;
   resp.pins_reaped = 1;
-  resp.lcp_index_answers = 31;
-  resp.lcp_index_fallback_scans = 2;
-  resp.lcp_index_nodes = 120;
-  resp.lcp_index_bytes = 9000;
   resp.codecs.push_back(
       {compress::CodecId::kDeltaVsAncestor, 16, 1 << 20, 1 << 18});
   resp.histograms.push_back(
@@ -265,10 +261,6 @@ TEST(Wire, StatsMessages) {
   EXPECT_EQ(out.not_modified_reads, 6u);
   EXPECT_EQ(out.redirects_issued, 2u);
   EXPECT_EQ(out.pins_reaped, 1u);
-  EXPECT_EQ(out.lcp_index_answers, 31u);
-  EXPECT_EQ(out.lcp_index_fallback_scans, 2u);
-  EXPECT_EQ(out.lcp_index_nodes, 120u);
-  EXPECT_EQ(out.lcp_index_bytes, 9000u);
   EXPECT_EQ(out.codecs, resp.codecs);
   EXPECT_EQ(out.histograms, resp.histograms);
 
@@ -280,23 +272,17 @@ TEST(Wire, MergeStatsHistograms) {
   StatsResponse a;
   a.status = common::Status::Ok();
   a.puts = 3;
-  a.lcp_index_answers = 2;
-  a.lcp_index_nodes = 100;
   a.histograms.push_back({"rpc.call_seconds", 10, 1.0, 0.05, 0.3, 0.1, 0.2,
                           0.25});
   a.histograms.push_back({"zeta.only_in_a", 1, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0});
   StatsResponse b;
   b.status = common::Status::Ok();
   b.puts = 4;
-  b.lcp_index_answers = 5;
-  b.lcp_index_nodes = 40;
   b.histograms.push_back({"rpc.call_seconds", 30, 6.0, 0.01, 0.9, 0.2, 0.5,
                           0.8});
 
   auto total = merge_stats({a, b});
   EXPECT_EQ(total.puts, 7u);
-  EXPECT_EQ(total.lcp_index_answers, 7u);
-  EXPECT_EQ(total.lcp_index_nodes, 140u);
   ASSERT_EQ(total.histograms.size(), 2u);
   // Name-sorted output.
   EXPECT_EQ(total.histograms[0].name, "rpc.call_seconds");
