@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     out.p99 = percentile(latencies, 0.99);
     if (cli.segment_cache() != nullptr) out.cache = cli.segment_cache()->stats();
     auto stats = cluster.sim.run_until_complete(cli.collect_stats());
-    if (stats.ok()) out.not_modified = stats->totals.not_modified_reads;
+    if (stats.ok()) out.not_modified = stats->totals.ops.not_modified_reads;
     obs.detach(cluster);
     return out;
   };
@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
     }
     auto stats = cluster.sim.run_until_complete(
         repo.client(cluster.nodes[0]).collect_stats());
-    uint64_t redirects = stats.ok() ? stats->totals.redirects_issued : 0;
+    uint64_t redirects = stats.ok() ? stats->totals.ops.redirects_issued : 0;
     uint64_t total = static_cast<uint64_t>(n_readers - 1) *
                      backbone.vertex_count();
     std::printf("\nshared backbone, %d reader(s): %" PRIu64

@@ -155,15 +155,16 @@ int main(int argc, char** argv) {
     std::printf("FATAL: collect_stats failed\n");
     return 1;
   }
-  const auto& t = stats->totals;
+  const auto& dedup = stats->totals.dedup;
+  const auto& live = stats->totals.live;
   std::printf("\nvia GetStats: hits %llu, misses %llu, freed %llu, "
               "physical %llu (pre-dedup %llu)\n",
-              static_cast<unsigned long long>(t.chunk_hits),
-              static_cast<unsigned long long>(t.chunk_misses),
-              static_cast<unsigned long long>(t.chunks_freed),
-              static_cast<unsigned long long>(t.physical_bytes),
-              static_cast<unsigned long long>(t.pre_dedup_physical_bytes));
-  if (t.physical_bytes != post || t.pre_dedup_physical_bytes != pre) {
+              static_cast<unsigned long long>(dedup.hits),
+              static_cast<unsigned long long>(dedup.misses),
+              static_cast<unsigned long long>(dedup.freed),
+              static_cast<unsigned long long>(live.physical_bytes),
+              static_cast<unsigned long long>(live.pre_dedup_physical_bytes));
+  if (live.physical_bytes != post || live.pre_dedup_physical_bytes != pre) {
     std::printf("FATAL: RPC-path stats disagree with direct introspection\n");
     return 1;
   }

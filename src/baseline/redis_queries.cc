@@ -5,10 +5,9 @@
 namespace evostore::baseline {
 
 using common::Bytes;
+using common::decode;
 using common::Deserializer;
-using common::Serializer;
-using core::wire::deserialize_status;
-using core::wire::serialize_status;
+using common::encode;
 
 namespace {
 
@@ -22,47 +21,25 @@ struct BeginAddReq {
   ModelId id;
   double quality = 0;
   ArchGraph graph;
-  void serialize(Serializer& s) const {
-    s.u64(id.value);
-    s.f64(quality);
-    graph.serialize(s);
-  }
-  static BeginAddReq deserialize(Deserializer& d) {
-    BeginAddReq r;
-    r.id.value = d.u64();
-    r.quality = d.f64();
-    r.graph = ArchGraph::deserialize(d);
-    return r;
-  }
+
+  template <class V>
+  void fields(V& v) { v(id, quality, graph); }
 };
 
 struct BoolResp {
   Status status;
   bool flag = false;
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.boolean(flag);
-  }
-  static BoolResp deserialize(Deserializer& d) {
-    BoolResp r;
-    r.status = deserialize_status(d);
-    r.flag = d.boolean();
-    return r;
-  }
+
+  template <class V>
+  void fields(V& v) { v(status, flag); }
 };
 
 struct IdReq {
   ModelId id;
-  void serialize(Serializer& s) const { s.u64(id.value); }
-  static IdReq deserialize(Deserializer& d) { return IdReq{ModelId{d.u64()}}; }
-};
 
-template <typename Response>
-Bytes pack(const Response& r) {
-  Serializer s;
-  r.serialize(s);
-  return std::move(s).take();
-}
+  template <class V>
+  void fields(V& v) { v(id); }
+};
 
 }  // namespace
 
@@ -104,11 +81,11 @@ size_t RedisQueries::published_count() const {
 
 sim::CoTask<Bytes> RedisQueries::handle_begin_add(Bytes request) {
   Deserializer d(request);
-  auto req = BeginAddReq::deserialize(d);
+  auto req = decode<BeginAddReq>(d);
   BoolResp resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   ++stats_.adds;
   co_await charge_op(0);
@@ -137,12 +114,12 @@ sim::CoTask<Bytes> RedisQueries::handle_begin_add(Bytes request) {
   }
   metadata_lock_->unlock_exclusive();
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> RedisQueries::handle_finish_add(Bytes request) {
   Deserializer d(request);
-  auto req = IdReq::deserialize(d);
+  auto req = decode<IdReq>(d);
   BoolResp resp;
   co_await charge_op(0);
   co_await metadata_lock_->lock_exclusive();
@@ -150,20 +127,20 @@ sim::CoTask<Bytes> RedisQueries::handle_finish_add(Bytes request) {
   if (it == entries_.end() || !d.ok()) {
     metadata_lock_->unlock_exclusive();
     resp.status = Status::NotFound("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return encode(resp);
   }
   it->second.published = true;
   metadata_lock_->unlock_exclusive();
   it->second.arch_lock->unlock();
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> RedisQueries::handle_query(Bytes request) {
   Deserializer d(request);
-  auto req = core::wire::LcpQueryRequest::deserialize(d);
+  auto req = decode<core::wire::LcpQueryRequest>(d);
   core::wire::LcpQueryResponse resp;
-  if (!d.ok()) co_return pack(resp);
+  if (!d.ok()) co_return encode(resp);
   ++stats_.queries;
   co_await charge_op(0);
   co_await metadata_lock_->lock_shared();
@@ -206,7 +183,7 @@ sim::CoTask<Bytes> RedisQueries::handle_query(Bytes request) {
   // client reads them.
   if (best != nullptr) ++best->refcount;
   metadata_lock_->unlock_shared();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 namespace {
@@ -218,7 +195,7 @@ struct DecOutcome {
 
 sim::CoTask<Bytes> RedisQueries::handle_unpin(Bytes request) {
   Deserializer d(request);
-  auto req = IdReq::deserialize(d);
+  auto req = decode<IdReq>(d);
   BoolResp resp;
   co_await charge_op(0);
   co_await metadata_lock_->lock_exclusive();
@@ -226,7 +203,7 @@ sim::CoTask<Bytes> RedisQueries::handle_unpin(Bytes request) {
   if (it == entries_.end() || !d.ok()) {
     metadata_lock_->unlock_exclusive();
     resp.status = Status::NotFound("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return encode(resp);
   }
   Entry& entry = it->second;
   if (--entry.refcount <= 0) {
@@ -241,7 +218,7 @@ sim::CoTask<Bytes> RedisQueries::handle_unpin(Bytes request) {
     metadata_lock_->unlock_exclusive();
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> RedisQueries::handle_retire(Bytes request) {

@@ -31,6 +31,10 @@ enum class ErrorCode {
   kDeadlineExceeded,
   kUnimplemented,
 };
+/// Wire decoders reject code bytes past this (see common/fields.h).
+constexpr ErrorCode last_enumerator(ErrorCode) {
+  return ErrorCode::kUnimplemented;
+}
 
 /// True for failures a caller may transparently retry: the operation may
 /// succeed against the same node later (it was down, the message was lost,

@@ -29,6 +29,10 @@ enum class CodecId : uint8_t {
 };
 
 inline constexpr size_t kCodecCount = 3;
+/// Wire decoders reject codec bytes past this (see common/fields.h).
+constexpr CodecId last_enumerator(CodecId) {
+  return static_cast<CodecId>(kCodecCount - 1);
+}
 
 std::string_view codec_name(CodecId id);
 

@@ -81,6 +81,10 @@ struct CompressedSegment {
   friend bool operator==(const CompressedSegment&,
                          const CompressedSegment&) = default;
 
+  /// Smallest encoding: kind, codec, both sizes, has_base, and a payload
+  /// length or manifest count, one byte each (vector count checks).
+  static constexpr size_t kMinWireBytes = 6;
+
   void serialize(common::Serializer& s) const;
   /// Total: never crashes on corrupt input. An unknown envelope kind or an
   /// out-of-range codec id fails the stream with a Corruption status (the

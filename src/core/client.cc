@@ -16,13 +16,6 @@ Status combine(Status acc, const Status& next) {
   return acc.ok() ? next : acc;
 }
 
-template <typename Response>
-common::Bytes pack(const Response& response) {
-  common::Serializer s;
-  response.serialize(s);
-  return std::move(s).take();
-}
-
 // Comma-joined provider list for flight-recorder attrs (e.g. "0,2,3").
 std::string id_list(const std::vector<common::ProviderId>& ids) {
   std::string out;
@@ -275,7 +268,7 @@ sim::CoTask<Status> Client::modify_refs(
         GroupLeg leg;
         leg.replica = p;
         leg.future_idx = futures.size();
-        leg.payload = pack(req);
+        leg.payload = common::encode(req);
         gs.legs.push_back(std::move(leg));
         futures.push_back(
             sim.spawn(refs_one(provider_node(p), std::move(req), parent)));
@@ -621,7 +614,7 @@ sim::CoTask<Status> Client::put_model(const Model& m, const TransferContext* tc)
   if (committed) {
     put_status = Status::Ok();
     if (!missed.empty()) {
-      common::Bytes packed = pack(req);
+      common::Bytes packed = common::encode(req);
       for (common::ProviderId target : missed) {
         if (!membership_->is_live(target)) continue;
         std::vector<common::ProviderId> custodians;
@@ -680,13 +673,7 @@ sim::CoTask<Result<ModelMeta>> Client::get_meta(ModelId id,
       last = Status::NotFound("model " + id.to_string());
       continue;
     }
-    ModelMeta meta;
-    meta.graph = std::move(r->graph);
-    meta.owners = std::move(r->owners);
-    meta.quality = r->quality;
-    meta.ancestor = r->ancestor;
-    meta.store_time = r->store_time;
-    meta.store_seq = r->store_seq;
+    ModelMeta meta = std::move(r->meta);
     if (obs::EventLog* ev = events()) {
       // `replicas` lets the analyzer assert no read was ever served by a
       // node outside the model's replica set (a placement-routing bug).
@@ -771,12 +758,12 @@ sim::CoTask<common::Bytes> Client::handle_peer_read(common::Bytes request,
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "peer_serve", self_, ctx.trace);
   common::Deserializer d(request);
-  auto req = wire::PeerReadRequest::deserialize(d);
+  auto req = common::decode<wire::PeerReadRequest>(d);
   wire::PeerReadResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
     span.tag("outcome", resp.status.to_string());
-    co_return pack(resp);
+    co_return common::encode(resp);
   }
   uint64_t served = 0;
   resp.found.reserve(req.keys.size());
@@ -802,7 +789,7 @@ sim::CoTask<common::Bytes> Client::handle_peer_read(common::Bytes request,
                {{"served", obs::EventLog::u64(served)},
                 {"missed", obs::EventLog::u64(req.keys.size() - served)}});
   }
-  co_return pack(resp);
+  co_return common::encode(resp);
 }
 
 sim::CoTask<Status> Client::fetch_envelopes(
@@ -1357,7 +1344,7 @@ sim::CoTask<Status> Client::retire(ModelId id) {
   // of the metadata must eventually go, or a failover read would resurrect
   // a retired model.
   if (!missed.empty()) {
-    common::Bytes packed = pack(req);
+    common::Bytes packed = common::encode(req);
     for (common::ProviderId target : missed) {
       if (!membership_->is_live(target)) continue;
       std::vector<common::ProviderId> custodians;

@@ -143,14 +143,7 @@ struct TransferContext {
 };
 
 /// Full metadata of a stored model.
-struct ModelMeta {
-  ArchGraph graph;
-  OwnerMap owners;
-  double quality = 0;
-  ModelId ancestor;
-  double store_time = 0;
-  uint64_t store_seq = 0;
-};
+using ModelMeta = wire::MetaRecord;
 
 class Client {
  public:

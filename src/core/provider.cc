@@ -12,17 +12,10 @@
 namespace evostore::core {
 
 using common::Bytes;
+using common::decode;
+using common::encode;
 using common::ModelId;
 using common::Status;
-
-namespace {
-template <typename Response>
-Bytes pack(const Response& response) {
-  common::Serializer s;
-  response.serialize(s);
-  return std::move(s).take();
-}
-}  // namespace
 
 Provider::Provider(net::RpcSystem& rpc, common::NodeId node,
                    common::ProviderId id, ProviderConfig config,
@@ -79,15 +72,7 @@ std::string Provider::token_key(uint64_t token) {
 
 void Provider::persist_meta(common::ModelId id, const MetaRecord& meta) {
   if (backend_ == nullptr) return;
-  common::Serializer s;
-  meta.graph.serialize(s);
-  meta.owners.serialize(s);
-  s.f64(meta.quality);
-  s.u64(meta.ancestor.value);
-  s.f64(meta.store_time);
-  s.u64(meta.store_seq);
-  auto st = backend_->put(meta_key(id),
-                          common::Buffer::dense(std::move(s).take()));
+  auto st = backend_->put(meta_key(id), common::Buffer::dense(encode(meta)));
   if (!st.ok()) EVO_WARN << "persist_meta: " << st.to_string();
 }
 
@@ -99,12 +84,8 @@ void Provider::erase_meta(common::ModelId id) {
 void Provider::persist_segment(const common::SegmentKey& key,
                                const SegEntry& entry) {
   if (backend_ == nullptr) return;
-  common::Serializer s;
-  s.i64(entry.refs);
-  s.u64(entry.version);
-  entry.segment.serialize(s);
-  auto st = backend_->put(segment_key(key),
-                          common::Buffer::dense(std::move(s).take()));
+  auto st =
+      backend_->put(segment_key(key), common::Buffer::dense(encode(entry)));
   if (!st.ok()) EVO_WARN << "persist_segment: " << st.to_string();
 }
 
@@ -438,7 +419,7 @@ void Provider::restore_from_backend() {
       // guarantee is "replayed once the target recovers", not "replayed
       // unless the custodian also crashed in between".
       uint64_t seq = std::strtoull(key.c_str() + 5, nullptr, 10);
-      wire::HintRecord hint = wire::HintRecord::deserialize(d);
+      wire::HintRecord hint = decode<wire::HintRecord>(d);
       if (!d.finish().ok()) {
         EVO_WARN << "restore: corrupt hint record '" << key << "'";
         continue;
@@ -447,13 +428,7 @@ void Provider::restore_from_backend() {
       hints_.emplace(seq, std::move(hint));
     } else if (key.rfind("meta/", 0) == 0) {
       common::ModelId id{std::strtoull(key.c_str() + 5, nullptr, 10)};
-      MetaRecord meta;
-      meta.graph = model::ArchGraph::deserialize(d);
-      meta.owners = OwnerMap::deserialize(d);
-      meta.quality = d.f64();
-      meta.ancestor.value = d.u64();
-      meta.store_time = d.f64();
-      meta.store_seq = d.u64();
+      auto meta = decode<MetaRecord>(d);
       if (!d.finish().ok()) {
         EVO_WARN << "restore: corrupt metadata record '" << key << "'";
         continue;
@@ -486,10 +461,7 @@ void Provider::restore_from_backend() {
       if (end == nullptr || *end != '/') continue;
       auto vertex = static_cast<common::VertexId>(
           std::strtoul(end + 1, nullptr, 10));
-      SegEntry entry;
-      entry.refs = static_cast<int32_t>(d.i64());
-      entry.version = d.u64();
-      entry.segment = compress::CompressedSegment::deserialize(d);
+      auto entry = decode<SegEntry>(d);
       if (!d.finish().ok() ||
           compress::codec_for(entry.segment.codec) == nullptr) {
         EVO_WARN << "restore: corrupt segment record '" << key << "'";
@@ -626,17 +598,17 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
                                         net::HandlerContext ctx) {
   double t0 = sim_->now();
   common::Deserializer d(request);
-  auto req = wire::PutModelRequest::deserialize(d);
+  auto req = decode<wire::PutModelRequest>(d);
   wire::PutModelResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   ++stats_.puts;
   if (drained_) {
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
-    co_return pack(resp);
+    co_return encode(resp);
   }
   // A token minted by a newer client incarnation proves the older ones are
   // gone — reap the transfer pins they leaked (DESIGN.md §14).
@@ -646,19 +618,19 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
                            static_cast<double>(req.new_segments.size()));
   if (models_.find(req.id) != models_.end()) {
     resp.status = Status::AlreadyExists("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return encode(resp);
   }
   uint64_t physical = 0;
   for (const auto& [v, env] : req.new_segments) {
     if (compress::codec_for(env.codec) == nullptr) {
       resp.status = Status::InvalidArgument("unknown codec in put");
-      co_return pack(resp);
+      co_return encode(resp);
     }
     // Manifests are provider-local (they index this provider's chunk
     // store); a client can only ever submit inline envelopes.
     if (env.kind != compress::EnvelopeKind::kInline) {
       resp.status = Status::InvalidArgument("chunked envelope on the wire");
-      co_return pack(resp);
+      co_return encode(resp);
     }
     physical += env.physical_bytes;
   }
@@ -675,22 +647,17 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
   if (drained_) {
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
-    co_return pack(resp);
+    co_return encode(resp);
   }
   // ... and a deadline-driven retry of this same put may have landed while
   // the pool transfer ran (model ids are globally unique, so AlreadyExists
   // here can only mean an earlier attempt succeeded).
   if (models_.find(req.id) != models_.end()) {
     resp.status = Status::AlreadyExists("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return encode(resp);
   }
-  MetaRecord meta;
-  meta.graph = std::move(req.graph);
-  meta.owners = std::move(req.owners);
-  meta.quality = req.quality;
-  meta.ancestor = req.ancestor;
-  meta.store_time = sim_->now();
-  meta.store_seq = ++seq_;
+  MetaRecord meta{std::move(req.graph), std::move(req.owners), req.quality,
+                  req.ancestor, sim_->now(), ++seq_};
   resp.store_seq = meta.store_seq;
   {
     // Commit metadata + segments to the catalog and (when backed) the
@@ -719,37 +686,32 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
   record(hist_put_seconds_, shared_put_seconds_, sim_->now() - t0);
   record(hist_put_bytes_, shared_put_bytes_, static_cast<double>(physical));
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> Provider::handle_get_meta(Bytes request) {
   common::Deserializer d(request);
-  auto req = wire::GetMetaRequest::deserialize(d);
+  auto req = decode<wire::GetMetaRequest>(d);
   wire::GetMetaResponse resp;
   ++stats_.meta_gets;
   co_await sim_->delay(config_.op_seconds);
   auto it = models_.find(req.id);
   if (it != models_.end() && d.ok()) {
     resp.found = true;
-    resp.graph = it->second.graph;
-    resp.owners = it->second.owners;
-    resp.quality = it->second.quality;
-    resp.ancestor = it->second.ancestor;
-    resp.store_time = it->second.store_time;
-    resp.store_seq = it->second.store_seq;
+    resp.meta = it->second;
   }
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
                                                   net::HandlerContext ctx) {
   double t0 = sim_->now();
   common::Deserializer d(request);
-  auto req = wire::ReadSegmentsRequest::deserialize(d);
+  auto req = decode<wire::ReadSegmentsRequest>(d);
   wire::ReadSegmentsResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   ++stats_.segment_reads;
   co_await sim_->delay(config_.op_seconds +
@@ -764,7 +726,7 @@ sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
       resp.segments.clear();
       resp.payload_bytes = 0;
       resp.status = Status::NotFound("segment " + key.to_string());
-      co_return pack(resp);
+      co_return encode(resp);
     }
     const uint64_t version = it->second.version;
     // Validation handshake (DESIGN.md §14): the client's cached copy is
@@ -811,7 +773,7 @@ sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
       resp.segments.clear();
       resp.payload_bytes = 0;
       resp.status = env.status();
-      co_return pack(resp);
+      co_return encode(resp);
     }
     resp.info.push_back({wire::ReadEntryState::kFresh, version, 0});
     resp.payload_bytes += env->physical_bytes;
@@ -829,18 +791,18 @@ sim::CoTask<Bytes> Provider::handle_read_segments(Bytes request,
   record(hist_read_bytes_, shared_read_bytes_,
          static_cast<double>(resp.payload_bytes));
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> Provider::handle_modify_refs(Bytes request,
                                                 net::HandlerContext ctx) {
   double t0 = sim_->now();
   common::Deserializer d(request);
-  auto req = wire::ModifyRefsRequest::deserialize(d);
+  auto req = decode<wire::ModifyRefsRequest>(d);
   wire::ModifyRefsResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "modify_refs", node_, ctx.trace);
@@ -863,7 +825,7 @@ sim::CoTask<Bytes> Provider::handle_modify_refs(Bytes request,
     resp.status = Status::Ok();
     span.tag("pin_consume", "true");
     record(hist_refs_seconds_, shared_refs_seconds_, sim_->now() - t0);
-    Bytes consumed = pack(resp);
+    Bytes consumed = encode(resp);
     dedup_store(req.token, consumed);
     co_return consumed;
   }
@@ -905,14 +867,14 @@ sim::CoTask<Bytes> Provider::handle_modify_refs(Bytes request,
     }
   }
   record(hist_refs_seconds_, shared_refs_seconds_, sim_->now() - t0);
-  Bytes packed = pack(resp);
+  Bytes packed = encode(resp);
   dedup_store(req.token, packed);
   co_return packed;
 }
 
 sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
   common::Deserializer d(request);
-  auto req = wire::RetireRequest::deserialize(d);
+  auto req = decode<wire::RetireRequest>(d);
   wire::RetireResponse resp;
   ++stats_.retires;
   co_await sim_->delay(config_.op_seconds);
@@ -928,7 +890,7 @@ sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
   auto it = models_.find(req.id);
   if (it == models_.end() || !d.ok()) {
     resp.status = Status::NotFound("model " + req.id.to_string());
-    co_return pack(resp);
+    co_return encode(resp);
   }
   resp.owners = std::move(it->second.owners);
   // Metadata is removed eagerly; segment payloads survive until their
@@ -936,7 +898,7 @@ sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
   models_.erase(it);
   erase_meta(req.id);
   resp.status = Status::Ok();
-  Bytes packed = pack(resp);
+  Bytes packed = encode(resp);
   dedup_store(req.token, packed);
   co_return packed;
 }
@@ -945,9 +907,9 @@ sim::CoTask<Bytes> Provider::handle_lcp_query(Bytes request,
                                               net::HandlerContext ctx) {
   double t0 = sim_->now();
   common::Deserializer d(request);
-  auto req = wire::LcpQueryRequest::deserialize(d);
+  auto req = decode<wire::LcpQueryRequest>(d);
   wire::LcpQueryResponse resp;
-  if (!d.ok()) co_return pack(resp);
+  if (!d.ok()) co_return encode(resp);
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "lcp_scan", node_, ctx.trace);
   ++stats_.lcp_queries;
@@ -985,7 +947,7 @@ sim::CoTask<Bytes> Provider::handle_lcp_query(Bytes request,
   span.tag_u64("vertex_visits", cost.vertex_visits);
   span.tag("found", resp.found ? "true" : "false");
   record(hist_lcp_seconds_, shared_lcp_seconds_, sim_->now() - t0);
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 // ---- replication fault model (DESIGN.md §15) ----------------------------
@@ -1002,10 +964,7 @@ std::string Provider::hint_key(uint64_t seq) {
 uint64_t Provider::record_hint(wire::HintRecord hint) {
   uint64_t seq = ++hint_seq_;
   if (backend_ != nullptr) {
-    common::Serializer s;
-    hint.serialize(s);
-    auto st = backend_->put(hint_key(seq),
-                            common::Buffer::dense(std::move(s).take()));
+    auto st = backend_->put(hint_key(seq), common::Buffer::dense(encode(hint)));
     if (!st.ok()) EVO_WARN << "record_hint: " << st.to_string();
   }
   common::ProviderId target = hint.target;
@@ -1114,31 +1073,31 @@ uint64_t Provider::discard_hints_for(common::ProviderId target) {
 
 sim::CoTask<Bytes> Provider::handle_store_hint(Bytes request) {
   common::Deserializer d(request);
-  auto req = wire::StoreHintRequest::deserialize(d);
+  auto req = decode<wire::StoreHintRequest>(d);
   wire::StoreHintResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   co_await sim_->delay(config_.op_seconds);
   if (drained_) {
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
-    co_return pack(resp);
+    co_return encode(resp);
   }
   record_hint(std::move(req.hint));
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> Provider::handle_fetch_chunks(Bytes request,
                                                  net::HandlerContext ctx) {
   common::Deserializer d(request);
-  auto req = wire::FetchChunksRequest::deserialize(d);
+  auto req = decode<wire::FetchChunksRequest>(d);
   wire::FetchChunksResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   co_await sim_->delay(config_.op_seconds +
                        config_.per_segment_seconds *
@@ -1160,7 +1119,7 @@ sim::CoTask<Bytes> Provider::handle_fetch_chunks(Bytes request,
   // Ok even when some digests were absent: the requester falls back to the
   // next peer for the remainder.
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
@@ -1168,12 +1127,12 @@ sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "replicate_serve", node_, ctx.trace);
   common::Deserializer d(request);
-  auto req = wire::ReplicateRequest::deserialize(d);
+  auto req = decode<wire::ReplicateRequest>(d);
   wire::ReplicateResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
     span.tag("outcome", resp.status.to_string());
-    co_return pack(resp);
+    co_return encode(resp);
   }
   co_await sim_->delay(config_.op_seconds +
                        config_.per_segment_seconds *
@@ -1182,19 +1141,14 @@ sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
     resp.status = Status::Unavailable("provider " + std::to_string(id_) +
                                       " drained");
     span.tag("outcome", resp.status.to_string());
-    co_return pack(resp);
+    co_return encode(resp);
   }
   // Install-if-absent throughout: an entry already here is being actively
   // maintained by client traffic (its refcount is live GC state) and must
   // never be overwritten by an anti-entropy copy.
   if (req.has_meta && models_.find(req.id) == models_.end()) {
-    MetaRecord meta;
-    meta.graph = std::move(req.graph);
-    meta.owners = std::move(req.owners);
-    meta.quality = req.quality;
-    meta.ancestor = req.ancestor;
-    meta.store_time = req.store_time;
-    meta.store_seq = ++seq_;
+    MetaRecord meta = std::move(req.meta);
+    meta.store_seq = ++seq_;  // a local sequence, like a fresh put
     persist_meta(req.id, meta);
     models_.emplace(req.id, std::move(meta));
     resp.installed_meta = true;
@@ -1313,7 +1267,7 @@ sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
                 {"chunks_fetched", obs::EventLog::u64(resp.fetched_chunks)}});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<uint64_t> Provider::push_owner(
@@ -1326,11 +1280,7 @@ sim::CoTask<uint64_t> Provider::push_owner(
   auto mit = models_.find(id);
   if (with_meta && mit != models_.end()) {
     rr.has_meta = true;
-    rr.graph = mit->second.graph;
-    rr.owners = mit->second.owners;
-    rr.quality = mit->second.quality;
-    rr.ancestor = mit->second.ancestor;
-    rr.store_time = mit->second.store_time;
+    rr.meta = mit->second;
   }
   // Deterministic segment order (segments_ is hashed): sort by vertex.
   std::vector<std::pair<common::SegmentKey, const SegEntry*>> local;
@@ -1364,21 +1314,21 @@ sim::CoTask<uint64_t> Provider::push_owner(
 sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
                                           net::HandlerContext ctx) {
   common::Deserializer d(request);
-  auto req = wire::DrainRequest::deserialize(d);
+  auto req = decode<wire::DrainRequest>(d);
   wire::DrainResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   co_await sim_->delay(config_.op_seconds);
   if (drained_) {  // idempotent: the catalog is already gone
     resp.status = Status::Ok();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   const size_t n = req.provider_nodes.size();
   if (n <= id_ || req.live.size() < n) {
     resp.status = Status::InvalidArgument("drain ring view too small");
-    co_return pack(resp);
+    co_return encode(resp);
   }
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "drain_serve", node_, ctx.trace);
@@ -1513,24 +1463,24 @@ sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
                 {"hints_moved", obs::EventLog::u64(resp.hints_moved)}});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> Provider::handle_repair(Bytes request,
                                            net::HandlerContext ctx) {
   common::Deserializer d(request);
-  auto req = wire::RepairRequest::deserialize(d);
+  auto req = decode<wire::RepairRequest>(d);
   wire::RepairResponse resp;
   if (!d.ok()) {
     resp.status = d.status();
-    co_return pack(resp);
+    co_return encode(resp);
   }
   co_await sim_->delay(config_.op_seconds);
   const size_t n = req.provider_nodes.size();
   if (drained_ || req.target == id_ || n <= req.target ||
       req.live.size() < n) {
     resp.status = Status::Ok();  // nothing this provider can contribute
-    co_return pack(resp);
+    co_return encode(resp);
   }
   obs::Span span =
       obs::Tracer::maybe_begin(tracer(), "repair_serve", node_, ctx.trace);
@@ -1593,7 +1543,7 @@ sim::CoTask<Bytes> Provider::handle_repair(Bytes request,
                 {"segments", obs::EventLog::u64(resp.segments_pushed)}});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 sim::CoTask<Bytes> Provider::handle_get_stats(Bytes request) {
@@ -1601,34 +1551,15 @@ sim::CoTask<Bytes> Provider::handle_get_stats(Bytes request) {
   ++stats_.stat_gets;
   co_await sim_->delay(config_.op_seconds);
   wire::StatsResponse resp;
-  resp.puts = stats_.puts;
-  resp.segment_reads = stats_.segment_reads;
-  resp.refs_added = stats_.refs_added;
-  resp.refs_removed = stats_.refs_removed;
-  resp.segments_freed = stats_.segments_freed;
-  resp.live_models = models_.size();
-  resp.live_segments = segments_.size();
-  resp.logical_bytes = payload_bytes_;
-  resp.physical_bytes = stored_physical_bytes();
-  resp.pre_dedup_physical_bytes = physical_bytes_;
-  resp.live_chunks = chunk_store_.chunk_count();
-  resp.chunk_physical_bytes = chunk_store_.physical_bytes();
-  const storage::ChunkStoreStats& cs = chunk_store_.stats();
-  resp.chunk_hits = cs.hits;
-  resp.chunk_misses = cs.misses;
-  resp.chunks_freed = cs.freed;
-  resp.dedup_saved_bytes = cs.saved_bytes;
-  resp.not_modified_reads = stats_.not_modified_reads;
-  resp.redirects_issued = stats_.redirects_issued;
-  resp.pins_reaped = stats_.pins_reaped;
-  resp.handoff_recorded = stats_.hints_recorded;
-  resp.handoff_replayed = stats_.hints_replayed;
-  resp.handoff_discarded = stats_.hints_discarded;
-  resp.replica_installed_models = stats_.replica_installed_models;
-  resp.replica_installed_segments = stats_.replica_installed_segments;
-  resp.replica_chunks_fetched = stats_.replica_chunks_fetched;
-  resp.drain_models_moved = stats_.drain_models_moved;
-  resp.drain_segments_moved = stats_.drain_segments_moved;
+  resp.ops = stats_;
+  resp.dedup = chunk_store_.stats();
+  resp.live = {models_.size(),
+               segments_.size(),
+               payload_bytes_,
+               stored_physical_bytes(),
+               physical_bytes_,
+               chunk_store_.chunk_count(),
+               chunk_store_.physical_bytes()};
   for (size_t i = 0; i < compress::kCodecCount; ++i) {
     const auto& u = codec_usage_[i];
     if (u.segments == 0) continue;
@@ -1645,7 +1576,7 @@ sim::CoTask<Bytes> Provider::handle_get_stats(Bytes request) {
         s.p99});
   }
   resp.status = Status::Ok();
-  co_return pack(resp);
+  co_return encode(resp);
 }
 
 }  // namespace evostore::core

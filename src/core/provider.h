@@ -65,55 +65,6 @@ struct ProviderConfig {
   double peer_rpc_timeout = 1.0;
 };
 
-struct ProviderStats {
-  uint64_t puts = 0;
-  uint64_t meta_gets = 0;
-  uint64_t segment_reads = 0;
-  uint64_t lcp_queries = 0;
-  uint64_t lcp_models_scanned = 0;
-  uint64_t lcp_vertex_visits = 0;
-  uint64_t retires = 0;
-  uint64_t refs_added = 0;
-  uint64_t refs_removed = 0;
-  uint64_t segments_freed = 0;
-  uint64_t stat_gets = 0;
-  /// Tokened requests answered from the dedup cache (retries that would
-  /// have double-applied without idempotency).
-  uint64_t deduped_replays = 0;
-  /// Crash-recovery cycles this provider went through (restart() calls).
-  uint64_t restarts = 0;
-  /// Cumulative payload volume ingested by puts (logical = decoded tensor
-  /// content, physical = post-compression envelope payload).
-  uint64_t logical_bytes_ingested = 0;
-  uint64_t physical_bytes_ingested = 0;
-  // Cooperative cache + pin ledger (DESIGN.md §14).
-  /// Validation handshakes answered with kNotModified (no payload moved).
-  uint64_t not_modified_reads = 0;
-  /// Reads answered with a kRedirect hint to a peer client's cache.
-  uint64_t redirects_issued = 0;
-  /// Transfer pins recorded in the durable pin ledger.
-  uint64_t pins_recorded = 0;
-  /// Stale-epoch pins reaped when a newer client incarnation appeared (the
-  /// leaked pins of a client that crashed mid-transfer).
-  uint64_t pins_reaped = 0;
-  // Replication fault model (DESIGN.md §15).
-  /// Hinted handoffs parked here for a down replica.
-  uint64_t hints_recorded = 0;
-  /// Hints replayed to their target after it recovered.
-  uint64_t hints_replayed = 0;
-  /// Hints discarded because a full repair push subsumed them.
-  uint64_t hints_discarded = 0;
-  /// Metadata records installed via evostore.replicate (repair/drain pushes).
-  uint64_t replica_installed_models = 0;
-  /// Segments installed via evostore.replicate.
-  uint64_t replica_installed_segments = 0;
-  /// Chunk bodies pulled from peers while installing replicated manifests.
-  uint64_t replica_chunks_fetched = 0;
-  /// Catalog entries this provider migrated away when drained.
-  uint64_t drain_models_moved = 0;
-  uint64_t drain_segments_moved = 0;
-};
-
 class Provider {
  public:
   /// Constructs the provider and registers its RPC handlers on `node`.
@@ -229,14 +180,8 @@ class Provider {
   static constexpr const char* kRepairPeer = "evostore.repair_peer";
 
  private:
-  struct MetaRecord {
-    model::ArchGraph graph;
-    OwnerMap owners;
-    double quality = 0;
-    common::ModelId ancestor;
-    double store_time = 0;
-    uint64_t store_seq = 0;
-  };
+  using MetaRecord = wire::MetaRecord;
+  /// One stored segment; persisted as its "seg/<owner>/<vertex>" KV record.
   struct SegEntry {
     compress::CompressedSegment segment;
     int32_t refs = 0;
@@ -245,6 +190,9 @@ class Provider {
     /// provider, so a freed-then-recreated key always carries a newer
     /// version and a stale cache entry can never validate.
     uint64_t version = 0;
+
+    template <class V>
+    void fields(V& v) { v(refs, version, segment); }
   };
 
   void register_handlers(net::RpcSystem& rpc);
@@ -293,8 +241,6 @@ class Provider {
                                     const common::SegmentKey& key);
 
   // ---- persistence (no-ops when backend_ == nullptr) ----
-  struct MetaRecord;
-  struct SegEntry;
   void persist_meta(common::ModelId id, const MetaRecord& meta);
   void erase_meta(common::ModelId id);
   void persist_segment(const common::SegmentKey& key, const SegEntry& entry);

@@ -1,10 +1,12 @@
 // Wire messages of the EvoStore client/provider protocol.
 //
-// Every request/response is a plain struct with canonical serde methods so
-// `net::typed_call` can move it across the simulated fabric. Payload tensors
-// ride inside `Segment`s whose buffers keep their representation (synthetic
-// descriptors stay tiny on the wire; their byte cost is charged through the
-// separate bulk/RDMA path, mirroring Mercury's RPC-vs-bulk split).
+// Every request/response is a plain struct whose `fields()` lists its
+// members once, in wire order; `common::encode` / `common::decode` drive
+// that list in both directions (common/fields.h), so `net::typed_call` can
+// move any of them across the simulated fabric. Payload tensors ride inside
+// `Segment`s whose buffers keep their representation (synthetic descriptors
+// stay tiny on the wire; their byte cost is charged through the separate
+// bulk/RDMA path, mirroring Mercury's RPC-vs-bulk split).
 #pragma once
 
 #include <algorithm>
@@ -12,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/serde.h"
+#include "common/fields.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "compress/codec.h"
@@ -20,38 +22,81 @@
 #include "core/owner_map.h"
 #include "model/arch_graph.h"
 #include "model/model.h"
+#include "storage/chunk_store.h"
 
-namespace evostore::core::wire {
+namespace evostore::core {
 
-using common::Deserializer;
+/// Cumulative operation counters of one provider. This is the one
+/// declaration of each counter: `StatsResponse` carries the struct whole,
+/// and `fields()` drives its encoding and the cluster-wide merge, so a new
+/// counter is one member here plus its name in `fields()`.
+struct ProviderStats {
+  uint64_t puts = 0;
+  uint64_t meta_gets = 0;
+  uint64_t segment_reads = 0;
+  uint64_t lcp_queries = 0;
+  uint64_t lcp_models_scanned = 0;
+  uint64_t lcp_vertex_visits = 0;
+  uint64_t retires = 0;
+  uint64_t refs_added = 0;
+  uint64_t refs_removed = 0;
+  uint64_t segments_freed = 0;
+  uint64_t stat_gets = 0;
+  /// Tokened requests answered from the dedup cache (retries that would
+  /// have double-applied without idempotency).
+  uint64_t deduped_replays = 0;
+  /// Crash-recovery cycles this provider went through (restart() calls).
+  uint64_t restarts = 0;
+  /// Cumulative payload volume ingested by puts (logical = decoded tensor
+  /// content, physical = post-compression envelope payload).
+  uint64_t logical_bytes_ingested = 0;
+  uint64_t physical_bytes_ingested = 0;
+  // Cooperative cache + pin ledger (DESIGN.md §14).
+  /// Validation handshakes answered with kNotModified (no payload moved).
+  uint64_t not_modified_reads = 0;
+  /// Reads answered with a kRedirect hint to a peer client's cache.
+  uint64_t redirects_issued = 0;
+  /// Transfer pins recorded in the durable pin ledger.
+  uint64_t pins_recorded = 0;
+  /// Stale-epoch pins reaped when a newer client incarnation appeared (the
+  /// leaked pins of a client that crashed mid-transfer).
+  uint64_t pins_reaped = 0;
+  // Replication fault model (DESIGN.md §15).
+  /// Hinted handoffs parked here for a down replica.
+  uint64_t hints_recorded = 0;
+  /// Hints replayed to their target after it recovered.
+  uint64_t hints_replayed = 0;
+  /// Hints discarded because a full repair push subsumed them.
+  uint64_t hints_discarded = 0;
+  /// Metadata records installed via evostore.replicate (repair/drain pushes).
+  uint64_t replica_installed_models = 0;
+  /// Segments installed via evostore.replicate.
+  uint64_t replica_installed_segments = 0;
+  /// Chunk bodies pulled from peers while installing replicated manifests.
+  uint64_t replica_chunks_fetched = 0;
+  /// Catalog entries this provider migrated away when drained.
+  uint64_t drain_models_moved = 0;
+  uint64_t drain_segments_moved = 0;
+
+  template <class V>
+  void fields(V& v) {
+    v(puts, meta_gets, segment_reads, lcp_queries, lcp_models_scanned,
+      lcp_vertex_visits, retires, refs_added, refs_removed, segments_freed,
+      stat_gets, deduped_replays, restarts, logical_bytes_ingested,
+      physical_bytes_ingested, not_modified_reads, redirects_issued,
+      pins_recorded, pins_reaped, hints_recorded, hints_replayed,
+      hints_discarded, replica_installed_models, replica_installed_segments,
+      replica_chunks_fetched, drain_models_moved, drain_segments_moved);
+  }
+};
+
+namespace wire {
+
 using common::ModelId;
 using common::SegmentKey;
-using common::Serializer;
 using common::VertexId;
 using compress::CompressedSegment;
 using model::ArchGraph;
-using model::Segment;
-
-inline void serialize_status(Serializer& s, const common::Status& st) {
-  s.u8(static_cast<uint8_t>(st.code()));
-  s.str(st.message());
-}
-inline common::Status deserialize_status(Deserializer& d) {
-  auto code = static_cast<common::ErrorCode>(d.u8());
-  std::string msg = d.str();
-  return common::Status(code, std::move(msg));
-}
-
-inline void serialize_key(Serializer& s, const SegmentKey& k) {
-  s.u64(k.owner.value);
-  s.u32(k.vertex);
-}
-inline SegmentKey deserialize_key(Deserializer& d) {
-  SegmentKey k;
-  k.owner.value = d.u64();
-  k.vertex = d.u32();
-  return k;
-}
 
 // ---- put_model -----------------------------------------------------------
 
@@ -69,35 +114,9 @@ struct PutModelRequest {
   /// workload that only ever stores from-scratch models.
   uint64_t token = 0;
 
-  void serialize(Serializer& s) const {
-    s.u64(id.value);
-    s.u64(ancestor.value);
-    s.u64(token);
-    s.f64(quality);
-    graph.serialize(s);
-    owners.serialize(s);
-    s.u64(new_segments.size());
-    for (const auto& [v, env] : new_segments) {
-      s.u32(v);
-      env.serialize(s);
-    }
-  }
-  static PutModelRequest deserialize(Deserializer& d) {
-    PutModelRequest r;
-    r.id.value = d.u64();
-    r.ancestor.value = d.u64();
-    r.token = d.u64();
-    r.quality = d.f64();
-    r.graph = ArchGraph::deserialize(d);
-    r.owners = OwnerMap::deserialize(d);
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.new_segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      VertexId v = d.u32();
-      r.new_segments.emplace_back(v, CompressedSegment::deserialize(d));
-    }
-    return r;
+  template <class V>
+  void fields(V& v) {
+    v(id, ancestor, token, quality, graph, owners, new_segments);
   }
 };
 
@@ -105,30 +124,22 @@ struct PutModelResponse {
   common::Status status;
   uint64_t store_seq = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(store_seq);
-  }
-  static PutModelResponse deserialize(Deserializer& d) {
-    PutModelResponse r;
-    r.status = deserialize_status(d);
-    r.store_seq = d.u64();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, store_seq); }
 };
 
 // ---- get_meta ------------------------------------------------------------
 
 struct GetMetaRequest {
   ModelId id;
-  void serialize(Serializer& s) const { s.u64(id.value); }
-  static GetMetaRequest deserialize(Deserializer& d) {
-    return GetMetaRequest{ModelId{d.u64()}};
-  }
+
+  template <class V>
+  void fields(V& v) { v(id); }
 };
 
-struct GetMetaResponse {
-  bool found = false;
+/// A model's stored metadata: what a provider keeps per model (and persists
+/// as its "meta/<id>" KV record) and what get_meta returns.
+struct MetaRecord {
   ArchGraph graph;
   OwnerMap owners;
   double quality = 0;
@@ -136,27 +147,26 @@ struct GetMetaResponse {
   double store_time = 0;
   uint64_t store_seq = 0;
 
-  void serialize(Serializer& s) const {
-    s.boolean(found);
-    if (!found) return;
-    graph.serialize(s);
-    owners.serialize(s);
-    s.f64(quality);
-    s.u64(ancestor.value);
-    s.f64(store_time);
-    s.u64(store_seq);
+  /// The members that travel between providers; store_seq is local to each.
+  template <class V>
+  void portable(V& v) {
+    v(graph, owners, quality, ancestor, store_time);
   }
-  static GetMetaResponse deserialize(Deserializer& d) {
-    GetMetaResponse r;
-    r.found = d.boolean();
-    if (!r.found || !d.ok()) return r;
-    r.graph = ArchGraph::deserialize(d);
-    r.owners = OwnerMap::deserialize(d);
-    r.quality = d.f64();
-    r.ancestor.value = d.u64();
-    r.store_time = d.f64();
-    r.store_seq = d.u64();
-    return r;
+  template <class V>
+  void fields(V& v) {
+    portable(v);
+    v(store_seq);
+  }
+};
+
+struct GetMetaResponse {
+  bool found = false;
+  MetaRecord meta;  // on the wire iff found
+
+  template <class V>
+  void fields(V& v) {
+    v(found);
+    if (found) v(meta);
   }
 };
 
@@ -179,29 +189,9 @@ struct ReadSegmentsRequest {
   /// re-fetches set this false to guarantee termination.
   bool accept_redirect = false;
 
-  void serialize(Serializer& s) const {
-    s.u64(keys.size());
-    for (const auto& k : keys) serialize_key(s, k);
-    s.u64(cached_versions.size());
-    for (uint64_t v : cached_versions) s.u64(v);
-    s.u32(reader_node);
-    s.boolean(caching);
-    s.boolean(accept_redirect);
-  }
-  static ReadSegmentsRequest deserialize(Deserializer& d) {
-    ReadSegmentsRequest r;
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.keys.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.keys.push_back(deserialize_key(d));
-    uint64_t nv = d.u64();
-    if (!d.check_count(nv, 1)) return r;
-    r.cached_versions.reserve(nv);
-    for (uint64_t i = 0; i < nv && d.ok(); ++i) r.cached_versions.push_back(d.u64());
-    r.reader_node = d.u32();
-    r.caching = d.boolean();
-    r.accept_redirect = d.boolean();
-    return r;
+  template <class V>
+  void fields(V& v) {
+    v(keys, cached_versions, reader_node, caching, accept_redirect);
   }
 };
 
@@ -211,6 +201,9 @@ enum class ReadEntryState : uint8_t {
   kNotModified = 1,  ///< cached version still current; no bytes moved
   kRedirect = 2,     ///< fetch from the peer cache named in `redirect`
 };
+constexpr ReadEntryState last_enumerator(ReadEntryState) {
+  return ReadEntryState::kRedirect;
+}
 
 struct ReadEntryInfo {
   ReadEntryState state = ReadEntryState::kFresh;
@@ -221,6 +214,9 @@ struct ReadEntryInfo {
   common::NodeId redirect = 0;
 
   friend bool operator==(const ReadEntryInfo&, const ReadEntryInfo&) = default;
+
+  template <class V>
+  void fields(V& v) { v(state, version, redirect); }
 };
 
 struct ReadSegmentsResponse {
@@ -236,41 +232,8 @@ struct ReadSegmentsResponse {
   /// here.
   uint64_t payload_bytes = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(info.size());
-    for (const auto& e : info) {
-      s.u8(static_cast<uint8_t>(e.state));
-      s.u64(e.version);
-      s.u32(e.redirect);
-    }
-    s.u64(segments.size());
-    for (const auto& env : segments) env.serialize(s);
-    s.u64(payload_bytes);
-  }
-  static ReadSegmentsResponse deserialize(Deserializer& d) {
-    ReadSegmentsResponse r;
-    r.status = deserialize_status(d);
-    uint64_t ni = d.u64();
-    // u8 state + varint version + varint redirect: >= 3 bytes per entry.
-    if (!d.check_count(ni, 3)) return r;
-    r.info.reserve(ni);
-    for (uint64_t i = 0; i < ni && d.ok(); ++i) {
-      ReadEntryInfo e;
-      e.state = static_cast<ReadEntryState>(d.u8());
-      e.version = d.u64();
-      e.redirect = d.u32();
-      r.info.push_back(e);
-    }
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.segments.push_back(CompressedSegment::deserialize(d));
-    }
-    r.payload_bytes = d.u64();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, info, segments, payload_bytes); }
 };
 
 // ---- peer_read (client-to-client cooperative cache) ----------------------
@@ -282,21 +245,19 @@ struct PeerReadRequest {
   std::vector<SegmentKey> keys;
   std::vector<uint64_t> versions;  // parallel to keys; required match
 
-  void serialize(Serializer& s) const {
-    s.u64(keys.size());
-    for (const auto& k : keys) serialize_key(s, k);
-    for (uint64_t v : versions) s.u64(v);
-  }
-  static PeerReadRequest deserialize(Deserializer& d) {
-    PeerReadRequest r;
-    uint64_t n = d.u64();
-    // Varint key (>= 2 bytes) + varint version (>= 1) per entry.
-    if (!d.check_count(n, 3)) return r;
-    r.keys.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.keys.push_back(deserialize_key(d));
-    r.versions.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.versions.push_back(d.u64());
-    return r;
+  template <class V>
+  void fields(V& v) {
+    // One count covers both vectors: `versions` runs parallel to `keys`.
+    uint64_t n = keys.size();
+    v(n);
+    if constexpr (V::kDecoding) {
+      // Varint key (>= 2 bytes) + varint version (>= 1) per entry.
+      if (!v.check_count(n, 3)) return;
+      keys.resize(n);
+      versions.resize(n);
+    }
+    for (SegmentKey& k : keys) v(k);
+    for (uint64_t& version : versions) v(version);
   }
 };
 
@@ -309,30 +270,8 @@ struct PeerReadResponse {
   /// Physical bytes the requester pulls over the bulk path.
   uint64_t payload_bytes = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(found.size());
-    for (uint8_t f : found) s.u8(f);
-    s.u64(segments.size());
-    for (const auto& env : segments) env.serialize(s);
-    s.u64(payload_bytes);
-  }
-  static PeerReadResponse deserialize(Deserializer& d) {
-    PeerReadResponse r;
-    r.status = deserialize_status(d);
-    uint64_t nf = d.u64();
-    if (!d.check_count(nf, 1)) return r;
-    r.found.reserve(nf);
-    for (uint64_t i = 0; i < nf && d.ok(); ++i) r.found.push_back(d.u8());
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.segments.push_back(CompressedSegment::deserialize(d));
-    }
-    r.payload_bytes = d.u64();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, found, segments, payload_bytes); }
 };
 
 // ---- modify_refs ---------------------------------------------------------
@@ -357,26 +296,8 @@ struct ModifyRefsRequest {
   /// (put_model consumed it).
   bool pin_consume = false;
 
-  void serialize(Serializer& s) const {
-    s.boolean(increment);
-    s.u64(token);
-    s.u64(pin_epoch);
-    s.boolean(pin_consume);
-    s.u64(keys.size());
-    for (const auto& k : keys) serialize_key(s, k);
-  }
-  static ModifyRefsRequest deserialize(Deserializer& d) {
-    ModifyRefsRequest r;
-    r.increment = d.boolean();
-    r.token = d.u64();
-    r.pin_epoch = d.u64();
-    r.pin_consume = d.boolean();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.keys.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.keys.push_back(deserialize_key(d));
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(increment, token, pin_epoch, pin_consume, keys); }
 };
 
 struct ModifyRefsResponse {
@@ -393,33 +314,9 @@ struct ModifyRefsResponse {
   /// freshly rebuilt) must not fail the whole operation.
   std::vector<SegmentKey> missing_keys;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u32(missing);
-    s.u64(freed_bytes);
-    s.u64(freed_bases.size());
-    for (const auto& k : freed_bases) serialize_key(s, k);
-    s.u64(missing_keys.size());
-    for (const auto& k : missing_keys) serialize_key(s, k);
-  }
-  static ModifyRefsResponse deserialize(Deserializer& d) {
-    ModifyRefsResponse r;
-    r.status = deserialize_status(d);
-    r.missing = d.u32();
-    r.freed_bytes = d.u64();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.freed_bases.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.freed_bases.push_back(deserialize_key(d));
-    }
-    uint64_t nm = d.u64();
-    if (!d.check_count(nm, 2)) return r;
-    r.missing_keys.reserve(nm);
-    for (uint64_t i = 0; i < nm && d.ok(); ++i) {
-      r.missing_keys.push_back(deserialize_key(d));
-    }
-    return r;
+  template <class V>
+  void fields(V& v) {
+    v(status, missing, freed_bytes, freed_bases, missing_keys);
   }
 };
 
@@ -431,32 +328,17 @@ struct RetireRequest {
   /// return the original owner map instead of NotFound, or the caller could
   /// never run the reference decrements.
   uint64_t token = 0;
-  void serialize(Serializer& s) const {
-    s.u64(id.value);
-    s.u64(token);
-  }
-  static RetireRequest deserialize(Deserializer& d) {
-    RetireRequest r;
-    r.id.value = d.u64();
-    r.token = d.u64();
-    return r;
-  }
+
+  template <class V>
+  void fields(V& v) { v(id, token); }
 };
 
 struct RetireResponse {
   common::Status status;
   OwnerMap owners;  // the retired model's owner map (for ref decrements)
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    owners.serialize(s);
-  }
-  static RetireResponse deserialize(Deserializer& d) {
-    RetireResponse r;
-    r.status = deserialize_status(d);
-    r.owners = OwnerMap::deserialize(d);
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, owners); }
 };
 
 // ---- store_hint (hinted handoff, DESIGN.md §15) --------------------------
@@ -473,34 +355,22 @@ struct HintRecord {
 
   friend bool operator==(const HintRecord&, const HintRecord&) = default;
 
-  void serialize(Serializer& s) const {
-    s.u32(target);
-    s.str(method);
-    s.bytes(payload);
-  }
-  static HintRecord deserialize(Deserializer& d) {
-    HintRecord r;
-    r.target = d.u32();
-    r.method = d.str();
-    r.payload = d.bytes();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(target, method, payload); }
 };
 
 struct StoreHintRequest {
   HintRecord hint;
-  void serialize(Serializer& s) const { hint.serialize(s); }
-  static StoreHintRequest deserialize(Deserializer& d) {
-    return StoreHintRequest{HintRecord::deserialize(d)};
-  }
+
+  template <class V>
+  void fields(V& v) { v(hint); }
 };
 
 struct StoreHintResponse {
   common::Status status;
-  void serialize(Serializer& s) const { serialize_status(s, status); }
-  static StoreHintResponse deserialize(Deserializer& d) {
-    return StoreHintResponse{deserialize_status(d)};
-  }
+
+  template <class V>
+  void fields(V& v) { v(status); }
 };
 
 // ---- replicate (anti-entropy push: drain migration + peer repair) --------
@@ -515,18 +385,8 @@ struct ReplicateSegment {
   CompressedSegment segment;
   uint32_t refs = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_key(s, key);
-    segment.serialize(s);
-    s.u32(refs);
-  }
-  static ReplicateSegment deserialize(Deserializer& d) {
-    ReplicateSegment r;
-    r.key = deserialize_key(d);
-    r.segment = CompressedSegment::deserialize(d);
-    r.refs = d.u32();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(key, segment, refs); }
 };
 
 struct ReplicateRequest {
@@ -534,56 +394,20 @@ struct ReplicateRequest {
   /// alive through inherited references) replicate with has_meta = false.
   bool has_meta = false;
   ModelId id;
-  ArchGraph graph;
-  OwnerMap owners;
-  double quality = 0;
-  ModelId ancestor;
-  double store_time = 0;
+  /// The source's metadata; its store_seq stays home (the receiver assigns
+  /// its own).
+  MetaRecord meta;
   std::vector<ReplicateSegment> segments;
   /// Where missing chunk bodies live: the pushing provider first, then any
   /// other replica peer (whoever has the content-addressed chunk serves it).
   common::NodeId source_node = 0;
   std::vector<common::NodeId> peer_nodes;
 
-  void serialize(Serializer& s) const {
-    s.boolean(has_meta);
-    s.u64(id.value);
-    if (has_meta) {
-      graph.serialize(s);
-      owners.serialize(s);
-      s.f64(quality);
-      s.u64(ancestor.value);
-      s.f64(store_time);
-    }
-    s.u64(segments.size());
-    for (const auto& seg : segments) seg.serialize(s);
-    s.u32(source_node);
-    s.u64(peer_nodes.size());
-    for (common::NodeId n : peer_nodes) s.u32(n);
-  }
-  static ReplicateRequest deserialize(Deserializer& d) {
-    ReplicateRequest r;
-    r.has_meta = d.boolean();
-    r.id.value = d.u64();
-    if (r.has_meta && d.ok()) {
-      r.graph = ArchGraph::deserialize(d);
-      r.owners = OwnerMap::deserialize(d);
-      r.quality = d.f64();
-      r.ancestor.value = d.u64();
-      r.store_time = d.f64();
-    }
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 7)) return r;
-    r.segments.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.segments.push_back(ReplicateSegment::deserialize(d));
-    }
-    r.source_node = d.u32();
-    uint64_t np = d.u64();
-    if (!d.check_count(np, 1)) return r;
-    r.peer_nodes.reserve(np);
-    for (uint64_t i = 0; i < np && d.ok(); ++i) r.peer_nodes.push_back(d.u32());
-    return r;
+  template <class V>
+  void fields(V& v) {
+    v(has_meta, id);
+    if (has_meta) meta.portable(v);
+    v(segments, source_node, peer_nodes);
   }
 };
 
@@ -593,19 +417,9 @@ struct ReplicateResponse {
   uint32_t installed_segments = 0;
   uint32_t fetched_chunks = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.boolean(installed_meta);
-    s.u32(installed_segments);
-    s.u32(fetched_chunks);
-  }
-  static ReplicateResponse deserialize(Deserializer& d) {
-    ReplicateResponse r;
-    r.status = deserialize_status(d);
-    r.installed_meta = d.boolean();
-    r.installed_segments = d.u32();
-    r.fetched_chunks = d.u32();
-    return r;
+  template <class V>
+  void fields(V& v) {
+    v(status, installed_meta, installed_segments, fetched_chunks);
   }
 };
 
@@ -614,26 +428,8 @@ struct ReplicateResponse {
 struct FetchChunksRequest {
   std::vector<common::Hash128> digests;
 
-  void serialize(Serializer& s) const {
-    s.u64(digests.size());
-    for (const auto& h : digests) {
-      s.u64(h.hi);
-      s.u64(h.lo);
-    }
-  }
-  static FetchChunksRequest deserialize(Deserializer& d) {
-    FetchChunksRequest r;
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.digests.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      common::Hash128 h;
-      h.hi = d.u64();
-      h.lo = d.u64();
-      r.digests.push_back(h);
-    }
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(digests); }
 };
 
 /// One chunk body with the modeled storage cost it carries at the source
@@ -644,20 +440,12 @@ struct ChunkBodyEntry {
   common::Bytes bytes;
   uint64_t cost = 0;
 
-  void serialize(Serializer& s) const {
-    s.u64(digest.hi);
-    s.u64(digest.lo);
-    s.bytes(bytes);
-    s.u64(cost);
-  }
-  static ChunkBodyEntry deserialize(Deserializer& d) {
-    ChunkBodyEntry e;
-    e.digest.hi = d.u64();
-    e.digest.lo = d.u64();
-    e.bytes = d.bytes();
-    e.cost = d.u64();
-    return e;
-  }
+  /// Chunk bodies are never empty, so the length prefix is followed by at
+  /// least one byte.
+  static constexpr size_t kMinWireBytes = 5;
+
+  template <class V>
+  void fields(V& v) { v(digest, bytes, cost); }
 };
 
 struct FetchChunksResponse {
@@ -667,24 +455,8 @@ struct FetchChunksResponse {
   std::vector<ChunkBodyEntry> chunks;
   uint64_t payload_bytes = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(chunks.size());
-    for (const auto& c : chunks) c.serialize(s);
-    s.u64(payload_bytes);
-  }
-  static FetchChunksResponse deserialize(Deserializer& d) {
-    FetchChunksResponse r;
-    r.status = deserialize_status(d);
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 5)) return r;
-    r.chunks.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      r.chunks.push_back(ChunkBodyEntry::deserialize(d));
-    }
-    r.payload_bytes = d.u64();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, chunks, payload_bytes); }
 };
 
 // ---- drain (decommission: migrate catalog to successor replicas) ---------
@@ -697,26 +469,8 @@ struct DrainRequest {
   std::vector<common::NodeId> provider_nodes;  ///< ProviderId -> NodeId
   std::vector<uint8_t> live;  ///< post-drain membership (self already 0)
 
-  void serialize(Serializer& s) const {
-    s.u32(replication);
-    s.u64(provider_nodes.size());
-    for (common::NodeId n : provider_nodes) s.u32(n);
-    s.u64(live.size());
-    for (uint8_t b : live) s.u8(b);
-  }
-  static DrainRequest deserialize(Deserializer& d) {
-    DrainRequest r;
-    r.replication = d.u32();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 1)) return r;
-    r.provider_nodes.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.provider_nodes.push_back(d.u32());
-    uint64_t nl = d.u64();
-    if (!d.check_count(nl, 1)) return r;
-    r.live.reserve(nl);
-    for (uint64_t i = 0; i < nl && d.ok(); ++i) r.live.push_back(d.u8());
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(replication, provider_nodes, live); }
 };
 
 struct DrainResponse {
@@ -725,20 +479,8 @@ struct DrainResponse {
   uint64_t segments_moved = 0;
   uint64_t hints_moved = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(models_moved);
-    s.u64(segments_moved);
-    s.u64(hints_moved);
-  }
-  static DrainResponse deserialize(Deserializer& d) {
-    DrainResponse r;
-    r.status = deserialize_status(d);
-    r.models_moved = d.u64();
-    r.segments_moved = d.u64();
-    r.hints_moved = d.u64();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, models_moved, segments_moved, hints_moved); }
 };
 
 // ---- repair_peer (anti-entropy rebuild of a lost provider) ---------------
@@ -753,28 +495,8 @@ struct RepairRequest {
   std::vector<common::NodeId> provider_nodes;
   std::vector<uint8_t> live;  ///< full membership, target included
 
-  void serialize(Serializer& s) const {
-    s.u32(target);
-    s.u32(replication);
-    s.u64(provider_nodes.size());
-    for (common::NodeId n : provider_nodes) s.u32(n);
-    s.u64(live.size());
-    for (uint8_t b : live) s.u8(b);
-  }
-  static RepairRequest deserialize(Deserializer& d) {
-    RepairRequest r;
-    r.target = d.u32();
-    r.replication = d.u32();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 1)) return r;
-    r.provider_nodes.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) r.provider_nodes.push_back(d.u32());
-    uint64_t nl = d.u64();
-    if (!d.check_count(nl, 1)) return r;
-    r.live.reserve(nl);
-    for (uint64_t i = 0; i < nl && d.ok(); ++i) r.live.push_back(d.u8());
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(target, replication, provider_nodes, live); }
 };
 
 struct RepairResponse {
@@ -782,28 +504,17 @@ struct RepairResponse {
   uint64_t models_pushed = 0;
   uint64_t segments_pushed = 0;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(models_pushed);
-    s.u64(segments_pushed);
-  }
-  static RepairResponse deserialize(Deserializer& d) {
-    RepairResponse r;
-    r.status = deserialize_status(d);
-    r.models_pushed = d.u64();
-    r.segments_pushed = d.u64();
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, models_pushed, segments_pushed); }
 };
 
 // ---- lcp_query (provider-side collective piece) --------------------------
 
 struct LcpQueryRequest {
   ArchGraph graph;
-  void serialize(Serializer& s) const { graph.serialize(s); }
-  static LcpQueryRequest deserialize(Deserializer& d) {
-    return LcpQueryRequest{ArchGraph::deserialize(d)};
-  }
+
+  template <class V>
+  void fields(V& v) { v(graph); }
 };
 
 struct LcpQueryResponse {
@@ -818,40 +529,18 @@ struct LcpQueryResponse {
 
   size_t lcp_len() const { return matches.size(); }
 
-  void serialize(Serializer& s) const {
-    s.boolean(found);
-    if (!found) return;
-    s.u64(ancestor.value);
-    s.f64(quality);
-    s.u64(matches.size());
-    for (auto [gv, av] : matches) {
-      s.u32(gv);
-      s.u32(av);
-    }
-  }
-  static LcpQueryResponse deserialize(Deserializer& d) {
-    LcpQueryResponse r;
-    r.found = d.boolean();
-    if (!r.found || !d.ok()) return r;
-    r.ancestor.value = d.u64();
-    r.quality = d.f64();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 2)) return r;
-    r.matches.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      VertexId gv = d.u32();
-      VertexId av = d.u32();
-      r.matches.emplace_back(gv, av);
-    }
-    return r;
+  template <class V>
+  void fields(V& v) {
+    v(found);
+    if (found) v(ancestor, quality, matches);
   }
 };
 
 // ---- get_stats -----------------------------------------------------------
 
 struct StatsRequest {
-  void serialize(Serializer&) const {}
-  static StatsRequest deserialize(Deserializer&) { return {}; }
+  template <class V>
+  void fields(V&) {}
 };
 
 /// One named histogram digest from a provider's local metrics registry
@@ -871,28 +560,8 @@ struct HistogramSummaryEntry {
   friend bool operator==(const HistogramSummaryEntry&,
                          const HistogramSummaryEntry&) = default;
 
-  void serialize(Serializer& s) const {
-    s.str(name);
-    s.u64(count);
-    s.f64(sum);
-    s.f64(min);
-    s.f64(max);
-    s.f64(p50);
-    s.f64(p95);
-    s.f64(p99);
-  }
-  static HistogramSummaryEntry deserialize(Deserializer& d) {
-    HistogramSummaryEntry e;
-    e.name = d.str();
-    e.count = d.u64();
-    e.sum = d.f64();
-    e.min = d.f64();
-    e.max = d.f64();
-    e.p50 = d.f64();
-    e.p95 = d.f64();
-    e.p99 = d.f64();
-    return e;
-  }
+  template <class V>
+  void fields(V& v) { v(name, count, sum, min, max, p50, p95, p99); }
 };
 
 /// Live per-codec stored volume on one provider.
@@ -904,140 +573,61 @@ struct CodecUsageEntry {
 
   friend bool operator==(const CodecUsageEntry&,
                          const CodecUsageEntry&) = default;
+
+  template <class V>
+  void fields(V& v) { v(codec, segments, logical_bytes, physical_bytes); }
+};
+
+/// Live stored state of one provider (gauges, summed across providers).
+struct LiveStats {
+  uint64_t models = 0;
+  uint64_t segments = 0;
+  uint64_t logical_bytes = 0;   // decoded payload the provider serves
+  uint64_t physical_bytes = 0;  // at-rest payload: inline + deduped chunks
+  /// What the same live segments would cost with the delta codec alone
+  /// (every chunk charged at every occurrence). Its ratio to
+  /// `physical_bytes` is the cross-model dedup factor (DESIGN.md §13).
+  uint64_t pre_dedup_physical_bytes = 0;
+  uint64_t chunks = 0;
+  uint64_t chunk_physical_bytes = 0;  // the chunk-store share of physical
+
+  template <class V>
+  void fields(V& v) {
+    v(models, segments, logical_bytes, physical_bytes,
+      pre_dedup_physical_bytes, chunks, chunk_physical_bytes);
+  }
 };
 
 struct StatsResponse {
   common::Status status;
-  // Operation counters (cumulative).
-  uint64_t puts = 0;
-  uint64_t segment_reads = 0;
-  uint64_t refs_added = 0;
-  uint64_t refs_removed = 0;
-  uint64_t segments_freed = 0;
-  // Live stored state.
-  uint64_t live_models = 0;
-  uint64_t live_segments = 0;
-  uint64_t logical_bytes = 0;   // decoded payload the provider serves
-  uint64_t physical_bytes = 0;  // at-rest payload: inline + deduped chunks
-  // Chunk dedup (DESIGN.md §13). `physical_bytes` above is the deduped
-  // at-rest footprint; `pre_dedup_physical_bytes` is what the same live
-  // segments would cost with the delta codec alone (every chunk charged at
-  // every occurrence). Their ratio is the cross-model dedup factor.
-  uint64_t pre_dedup_physical_bytes = 0;
-  uint64_t live_chunks = 0;
-  uint64_t chunk_physical_bytes = 0;  // the chunk-store share of physical
-  uint64_t chunk_hits = 0;            // cumulative dedup hits on ingest
-  uint64_t chunk_misses = 0;          // cumulative newly stored chunks
-  uint64_t chunks_freed = 0;          // chunks whose last reference died
-  uint64_t dedup_saved_bytes = 0;     // cumulative modeled bytes not stored
-  // Cooperative cache + pin ledger (DESIGN.md §14).
-  uint64_t not_modified_reads = 0;  // validation handshakes answered cheaply
-  uint64_t redirects_issued = 0;    // reads pointed at a peer cache
-  uint64_t pins_reaped = 0;         // stale-epoch pins released on the ledger
-  // Replication fault model (DESIGN.md §15).
-  uint64_t handoff_recorded = 0;    // hints parked for a down replica
-  uint64_t handoff_replayed = 0;    // hints delivered on target recovery
-  uint64_t handoff_discarded = 0;   // hints subsumed by a full repair push
-  uint64_t replica_installed_models = 0;    // metas installed via replicate
-  uint64_t replica_installed_segments = 0;  // segments installed via replicate
-  uint64_t replica_chunks_fetched = 0;      // chunk bodies pulled from peers
-  uint64_t drain_models_moved = 0;          // metas migrated by evostore.drain
-  uint64_t drain_segments_moved = 0;        // segments migrated by drain
+  ProviderStats ops;               // cumulative operation counters
+  storage::ChunkStoreStats dedup;  // cumulative chunk-dedup counters
+  LiveStats live;
   std::vector<CodecUsageEntry> codecs;
   // Per-provider histogram digests (name-ordered: providers export their
   // registry with std::map iteration, so the wire order is deterministic).
   std::vector<HistogramSummaryEntry> histograms;
 
-  void serialize(Serializer& s) const {
-    serialize_status(s, status);
-    s.u64(puts);
-    s.u64(segment_reads);
-    s.u64(refs_added);
-    s.u64(refs_removed);
-    s.u64(segments_freed);
-    s.u64(live_models);
-    s.u64(live_segments);
-    s.u64(logical_bytes);
-    s.u64(physical_bytes);
-    s.u64(pre_dedup_physical_bytes);
-    s.u64(live_chunks);
-    s.u64(chunk_physical_bytes);
-    s.u64(chunk_hits);
-    s.u64(chunk_misses);
-    s.u64(chunks_freed);
-    s.u64(dedup_saved_bytes);
-    s.u64(not_modified_reads);
-    s.u64(redirects_issued);
-    s.u64(pins_reaped);
-    s.u64(handoff_recorded);
-    s.u64(handoff_replayed);
-    s.u64(handoff_discarded);
-    s.u64(replica_installed_models);
-    s.u64(replica_installed_segments);
-    s.u64(replica_chunks_fetched);
-    s.u64(drain_models_moved);
-    s.u64(drain_segments_moved);
-    s.u64(codecs.size());
-    for (const auto& c : codecs) {
-      s.u8(static_cast<uint8_t>(c.codec));
-      s.u64(c.segments);
-      s.u64(c.logical_bytes);
-      s.u64(c.physical_bytes);
-    }
-    s.u64(histograms.size());
-    for (const auto& h : histograms) h.serialize(s);
-  }
-  static StatsResponse deserialize(Deserializer& d) {
-    StatsResponse r;
-    r.status = deserialize_status(d);
-    r.puts = d.u64();
-    r.segment_reads = d.u64();
-    r.refs_added = d.u64();
-    r.refs_removed = d.u64();
-    r.segments_freed = d.u64();
-    r.live_models = d.u64();
-    r.live_segments = d.u64();
-    r.logical_bytes = d.u64();
-    r.physical_bytes = d.u64();
-    r.pre_dedup_physical_bytes = d.u64();
-    r.live_chunks = d.u64();
-    r.chunk_physical_bytes = d.u64();
-    r.chunk_hits = d.u64();
-    r.chunk_misses = d.u64();
-    r.chunks_freed = d.u64();
-    r.dedup_saved_bytes = d.u64();
-    r.not_modified_reads = d.u64();
-    r.redirects_issued = d.u64();
-    r.pins_reaped = d.u64();
-    r.handoff_recorded = d.u64();
-    r.handoff_replayed = d.u64();
-    r.handoff_discarded = d.u64();
-    r.replica_installed_models = d.u64();
-    r.replica_installed_segments = d.u64();
-    r.replica_chunks_fetched = d.u64();
-    r.drain_models_moved = d.u64();
-    r.drain_segments_moved = d.u64();
-    uint64_t n = d.u64();
-    if (!d.check_count(n, 4)) return r;
-    r.codecs.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      CodecUsageEntry e;
-      e.codec = static_cast<compress::CodecId>(d.u8());
-      e.segments = d.u64();
-      e.logical_bytes = d.u64();
-      e.physical_bytes = d.u64();
-      r.codecs.push_back(e);
-    }
-    uint64_t nh = d.u64();
-    // >= 1 byte name-length + 7 numeric fields per entry.
-    if (!d.check_count(nh, 8)) return r;
-    r.histograms.reserve(nh);
-    for (uint64_t i = 0; i < nh && d.ok(); ++i) {
-      r.histograms.push_back(HistogramSummaryEntry::deserialize(d));
-    }
-    return r;
-  }
+  template <class V>
+  void fields(V& v) { v(status, ops, dedup, live, codecs, histograms); }
 };
+
+/// Field visitor over a counters-only struct: collects the address of each
+/// u64 in `fields()` order, so two instances can be summed member-wise.
+struct CounterRefs : common::FieldVisitor<CounterRefs> {
+  static constexpr bool kDecoding = false;
+  std::vector<uint64_t*> refs;
+  void leaf(uint64_t& x) { refs.push_back(&x); }
+};
+
+template <class Counters>
+void add_counters(Counters& total, Counters part) {
+  CounterRefs to;
+  CounterRefs from;
+  to.visit(total);
+  from.visit(part);
+  for (size_t i = 0; i < to.refs.size(); ++i) *to.refs[i] += *from.refs[i];
+}
 
 /// Cluster-wide aggregation of per-provider stats (used by
 /// Client::collect_stats). Counters sum exactly; codec usage merges by
@@ -1050,33 +640,9 @@ inline StatsResponse merge_stats(const std::vector<StatsResponse>& parts) {
   std::vector<CodecUsageEntry> codecs;
   std::vector<HistogramSummaryEntry> hists;
   for (const StatsResponse& p : parts) {
-    total.puts += p.puts;
-    total.segment_reads += p.segment_reads;
-    total.refs_added += p.refs_added;
-    total.refs_removed += p.refs_removed;
-    total.segments_freed += p.segments_freed;
-    total.live_models += p.live_models;
-    total.live_segments += p.live_segments;
-    total.logical_bytes += p.logical_bytes;
-    total.physical_bytes += p.physical_bytes;
-    total.pre_dedup_physical_bytes += p.pre_dedup_physical_bytes;
-    total.live_chunks += p.live_chunks;
-    total.chunk_physical_bytes += p.chunk_physical_bytes;
-    total.chunk_hits += p.chunk_hits;
-    total.chunk_misses += p.chunk_misses;
-    total.chunks_freed += p.chunks_freed;
-    total.dedup_saved_bytes += p.dedup_saved_bytes;
-    total.not_modified_reads += p.not_modified_reads;
-    total.redirects_issued += p.redirects_issued;
-    total.pins_reaped += p.pins_reaped;
-    total.handoff_recorded += p.handoff_recorded;
-    total.handoff_replayed += p.handoff_replayed;
-    total.handoff_discarded += p.handoff_discarded;
-    total.replica_installed_models += p.replica_installed_models;
-    total.replica_installed_segments += p.replica_installed_segments;
-    total.replica_chunks_fetched += p.replica_chunks_fetched;
-    total.drain_models_moved += p.drain_models_moved;
-    total.drain_segments_moved += p.drain_segments_moved;
+    add_counters(total.ops, p.ops);
+    add_counters(total.dedup, p.dedup);
+    add_counters(total.live, p.live);
     for (const CodecUsageEntry& c : p.codecs) {
       auto it = std::find_if(codecs.begin(), codecs.end(),
                              [&](const auto& e) { return e.codec == c.codec; });
@@ -1121,4 +687,5 @@ inline StatsResponse merge_stats(const std::vector<StatsResponse>& parts) {
   return total;
 }
 
-}  // namespace evostore::core::wire
+}  // namespace wire
+}  // namespace evostore::core

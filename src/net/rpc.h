@@ -24,14 +24,13 @@
 // the pre-fault one: no RNG draws, no extra events.
 //
 // Observability (see obs/trace.h): when a tracer is attached, every call
-// opens a client-side span and frames its TraceContext (two varint u64s +
-// a length-prefixed body) ahead of the request payload; the server side
-// strips the frame before the handler runs and opens a `serve:` span as the
-// remote child. The framing — and therefore any change to wire sizes or
-// timings — exists only while a tracer is attached; detached runs keep the
-// pre-tracing byte stream exactly. Handlers registered with the
-// context-aware signature receive the server span's context so they can
-// parent their own spans (e.g. a provider's KV commit) under the RPC.
+// opens a client-side span whose TraceContext travels with the simulated
+// message, outside the payload, and the server opens a `serve:` span as its
+// remote child. Tracing therefore changes no wire bytes and no simulated
+// time: a traced run is the untraced run plus spans. Handlers registered
+// with the context-aware signature receive the server span's context so
+// they can parent their own spans (e.g. a provider's KV commit) under the
+// RPC.
 #pragma once
 
 #include <functional>
@@ -40,7 +39,7 @@
 #include <string>
 
 #include "common/buffer.h"
-#include "common/serde.h"
+#include "common/fields.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "net/fabric.h"
@@ -108,10 +107,9 @@ class RpcSystem {
   /// 0 (the default) means no deadline.
   void set_default_timeout(double seconds) { default_timeout_ = seconds; }
 
-  /// Attach a tracer: every call opens client/server spans and the trace
-  /// context travels in the wire header. Must outlive in-flight calls; do
-  /// not attach/detach while calls are running (the frame format must match
-  /// on both legs). nullptr detaches and restores the untraced byte stream.
+  /// Attach a tracer: every call opens client/server spans linked by the
+  /// trace context carried alongside the message. Must outlive in-flight
+  /// calls. nullptr detaches.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() { return tracer_; }
 
@@ -124,8 +122,8 @@ class RpcSystem {
   /// Attach a flight recorder (obs/events.h). The RpcSystem itself records
   /// nothing; it is the distribution point clients, providers, and the
   /// fault injector read their `EventLog*` through. Recording is pure
-  /// memory append — unlike trace framing it never changes wire bytes or
-  /// simulated timings, so it is safe under `--verify`. nullptr detaches.
+  /// memory append — like tracing it never changes wire bytes or simulated
+  /// timings, so it is safe under `--verify`. nullptr detaches.
   void set_events(obs::EventLog* events) { events_ = events; }
   obs::EventLog* events() { return events_; }
 
@@ -165,12 +163,11 @@ class RpcSystem {
   // The call body without deadline handling (raced against the timer when a
   // deadline is set; run directly otherwise). Takes `method` BY VALUE: when
   // the deadline loses the race the abandoned frame keeps running after the
-  // caller's arguments are gone.
+  // caller's arguments are gone. `caller` is the client span's context
+  // (invalid when untraced); the serve span becomes its child.
   sim::CoTask<Result<Bytes>> call_inner(NodeId from, NodeId to,
-                                        std::string method, Bytes request);
-  // Strip the trace frame (added by `call` when a tracer is attached) off a
-  // request just before handler dispatch.
-  Bytes unframe_request(Bytes request, obs::TraceContext* parent_out);
+                                        std::string method, Bytes request,
+                                        obs::TraceContext caller);
   // Race `inner` against a deadline `timeout` seconds from now.
   sim::CoTask<Result<Bytes>> race_deadline(sim::CoTask<Result<Bytes>> inner,
                                            double timeout, std::string method,
@@ -193,9 +190,8 @@ class RpcSystem {
   obs::Histogram* hist_bulk_bytes_ = nullptr;
 };
 
-/// Convenience: serialize a request struct, call, deserialize the response.
-/// Request/Response must provide `void serialize(common::Serializer&) const`
-/// and `static Response deserialize(common::Deserializer&)`.
+/// Convenience: encode a request struct, call, decode the response. Both
+/// types describe their layout with `fields()` (common/fields.h).
 /// A malformed response is annotated with the method and target node so the
 /// failure is attributable without a packet trace.
 /// `rpc` is a pointer and `method` a by-value copy because both are used
@@ -206,13 +202,11 @@ sim::CoTask<Result<Response>> typed_call(RpcSystem* rpc, NodeId from, NodeId to,
                                          std::string method,
                                          const Request& request,
                                          CallOptions options = {}) {
-  common::Serializer s;
-  request.serialize(s);
   auto raw =
-      co_await rpc->call(from, to, method, std::move(s).take(), options);
+      co_await rpc->call(from, to, method, common::encode(request), options);
   if (!raw.ok()) co_return raw.status();
   common::Deserializer d(raw.value());
-  Response resp = Response::deserialize(d);
+  auto resp = common::decode<Response>(d);
   if (!d.ok()) {
     co_return common::Status(
         d.status().code(),

@@ -11,10 +11,10 @@
 // interleaves thousands of coroutines on one host thread, so thread-local
 // context would attribute children to whichever coroutine last resumed.
 // Instead a `TraceContext` is passed explicitly — through function
-// parameters inside a process, and through a 16-ish-byte header framed
-// ahead of the RPC request payload across the wire (see net/rpc.cc). That
-// framing exists only while a tracer is attached, so untraced runs keep the
-// exact pre-tracing wire format and timings.
+// parameters inside a process, and alongside the simulated RPC message,
+// outside its payload, across the wire (see net/rpc.cc). Tracing therefore
+// changes neither wire bytes nor timings: a traced run is the untraced run
+// plus spans.
 //
 // `Span` is a cheap RAII handle (tracer pointer + record index). A
 // default-constructed or moved-from span is inert: every operation on it is

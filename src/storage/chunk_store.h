@@ -56,6 +56,9 @@ struct ChunkStoreStats {
   uint64_t freed = 0;
   /// Modeled physical bytes that dedup hits avoided storing.
   uint64_t saved_bytes = 0;
+
+  template <class V>
+  void fields(V& v) { v(hits, misses, freed, saved_bytes); }
 };
 
 class ChunkStore {

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <tuple>
+#include <typeinfo>
 
 #include "common/rng.h"
 #include "core/wire.h"
 #include "storage/h5file.h"
 #include "tests/core/test_env.h"
+#include "tests/core/wire_samples.h"
 
 namespace evostore {
 namespace {
@@ -139,41 +142,102 @@ TEST(Fuzz, ArchGraphDecodeRejectsOrRoundTrips) {
   EXPECT_LT(ok_count, 1500);
 }
 
-TEST(Fuzz, WireMessagesSurviveMutation) {
-  Xoshiro256 rng(3);
-  core::wire::PutModelRequest req;
-  req.id = common::ModelId::make(1, 1);
-  req.ancestor = common::ModelId::make(1, 2);
-  req.quality = 0.8;
-  req.graph = core::testing::chain_graph(4, 8);
-  req.owners = core::OwnerMap::self_owned(req.id, req.graph.size());
-  for (common::VertexId v = 0; v < req.graph.size(); ++v) {
-    auto env = compress::compress_segment(
-        model::make_random_segment(req.graph, v, 7), compress::CodecId::kRaw);
-    ASSERT_TRUE(env.ok());
-    req.new_segments.emplace_back(v, std::move(env).value());
+// Writes exactly what FieldWriter writes, recording where each vector's
+// count prefix lands and the per-element minimum its reader checks.
+class CountRecorder : public common::FieldVisitor<CountRecorder> {
+ public:
+  static constexpr bool kDecoding = false;
+  struct Count {
+    size_t offset;
+    size_t min_bytes_each;
+  };
+  explicit CountRecorder(Serializer& s) : s_(&s), writer_(s) {}
+
+  template <class T>
+  void leaf(T& x) {
+    if constexpr (common::IsVector<T> && !std::is_same_v<T, Bytes>) {
+      counts.push_back(
+          {s_->size(), common::min_wire_bytes<typename T::value_type>()});
+      s_->u64(x.size());
+      for (auto& e : x) visit(e);
+    } else {
+      writer_.leaf(x);
+    }
   }
+
+  std::vector<Count> counts;
+
+ private:
+  Serializer* s_;
+  common::FieldWriter writer_;
+};
+
+Bytes varint(uint64_t v) {
   Serializer s;
-  req.serialize(s);
+  s.u64(v);
+  return std::move(s).take();
+}
+
+template <typename T>
+void fuzz_message(T msg, Xoshiro256& rng) {
+  Serializer s;
+  CountRecorder rec(s);
+  rec.visit(msg);
   const Bytes valid = s.data();
+  ASSERT_EQ(valid, common::encode(msg)) << typeid(T).name();
 
   // The untouched message round-trips.
   {
     Deserializer d(valid);
-    auto out = core::wire::PutModelRequest::deserialize(d);
-    ASSERT_TRUE(d.finish().ok());
-    EXPECT_EQ(out.id, req.id);
-    EXPECT_EQ(out.owners, req.owners);
-    EXPECT_EQ(out.new_segments.size(), req.new_segments.size());
+    auto out = common::decode<T>(d);
+    ASSERT_TRUE(d.finish().ok()) << typeid(T).name();
+    EXPECT_EQ(common::encode(out), valid) << typeid(T).name();
   }
   for (int iter = 0; iter < 2000; ++iter) {
     Bytes mutated = mutate_bytes(valid, rng);
     Deserializer d(mutated);
-    auto out = core::wire::PutModelRequest::deserialize(d);
-    (void)out;
+    (void)common::decode<T>(d);
     (void)d.finish();  // must not crash or hang
   }
-  SUCCEED();
+  // PeerReadRequest's one count covers two parallel vectors and is written
+  // by hand in its fields(): varint key + varint version per entry.
+  if constexpr (std::is_same_v<T, core::wire::PeerReadRequest>) {
+    rec.counts.push_back({0, 3});
+  }
+  // A count claiming one element more than the remaining input could hold
+  // fails before the decoder allocates anything for it.
+  for (const auto& c : rec.counts) {
+    Deserializer probe(std::span<const std::byte>(valid).subspan(c.offset));
+    const size_t old_len = [&] {
+      (void)probe.u64();
+      return probe.position();
+    }();
+    const Bytes tail(valid.begin() + static_cast<long>(c.offset + old_len),
+                     valid.end());
+    Bytes lying(valid.begin(), valid.begin() + static_cast<long>(c.offset));
+    Bytes count = varint(tail.size() / c.min_bytes_each + 1);
+    lying.insert(lying.end(), count.begin(), count.end());
+    lying.insert(lying.end(), tail.begin(), tail.end());
+    Deserializer d(lying);
+    (void)common::decode<T>(d);
+    EXPECT_EQ(d.status().code(), common::ErrorCode::kCorruption)
+        << typeid(T).name() << " count at " << c.offset;
+    EXPECT_EQ(d.status().message(), "count exceeds remaining input")
+        << typeid(T).name() << " count at " << c.offset;
+  }
+}
+
+TEST(Fuzz, WireMessagesSurviveMutation) {
+  Xoshiro256 rng(3);
+  size_t messages = 0;
+  auto samples = core::testing::wire_samples();
+  std::apply(
+      [&](auto&... msg) {
+        (fuzz_message(msg, rng), ...);
+        messages = sizeof...(msg);
+      },
+      samples);
+  EXPECT_GE(messages, 30u);
 }
 
 TEST(Fuzz, H5ReaderRejectsMutatedTocs) {

@@ -215,12 +215,10 @@ TEST(Replication, HintReplayIsIdempotentAcrossReincarnation) {
 
   // ...but the client never saw the response, so the SAME request was parked
   // as a hint on the custodian.
-  common::Serializer s;
-  req.serialize(s);
   wire::StoreHintRequest hreq;
   hreq.hint.target = target;
   hreq.hint.method = Provider::kModifyRefs;
-  hreq.hint.payload = std::move(s).take();
+  hreq.hint.payload = common::encode(req);
   auto park = [&]() -> sim::CoTask<common::Status> {
     auto r = co_await net::typed_call<wire::StoreHintResponse>(
         &env.rpc, env.worker, env.provider_nodes[custodian],

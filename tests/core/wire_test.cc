@@ -1,6 +1,6 @@
 // Wire-protocol round trips: every message type must survive
-// serialize/deserialize bit-exactly, including edge cases (empty payloads,
-// error statuses, not-found responses).
+// encode/decode bit-exactly, including edge cases (empty payloads, error
+// statuses, not-found responses).
 #include "core/wire.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@ using common::Bytes;
 using common::Deserializer;
 using common::ModelId;
 using common::SegmentKey;
-using common::Serializer;
 using core::testing::chain_graph;
 
 compress::CompressedSegment raw_envelope(const model::Segment& seg) {
@@ -25,33 +24,65 @@ compress::CompressedSegment raw_envelope(const model::Segment& seg) {
 
 template <typename T>
 T round_trip(const T& in) {
-  Serializer s;
-  in.serialize(s);
-  Deserializer d(s.data());
-  T out = T::deserialize(d);
+  Bytes bytes = common::encode(in);
+  Deserializer d(bytes);
+  auto out = common::decode<T>(d);
   EXPECT_TRUE(d.finish().ok()) << d.status().to_string();
   return out;
 }
 
 TEST(Wire, StatusHelpers) {
-  Serializer s;
-  serialize_status(s, common::Status::NotFound("gone"));
-  serialize_status(s, common::Status::Ok());
-  Deserializer d(s.data());
-  auto st1 = deserialize_status(d);
-  auto st2 = deserialize_status(d);
+  auto st1 = round_trip(common::Status::NotFound("gone"));
+  auto st2 = round_trip(common::Status::Ok());
   EXPECT_EQ(st1.code(), common::ErrorCode::kNotFound);
   EXPECT_EQ(st1.message(), "gone");
   EXPECT_TRUE(st2.ok());
 }
 
 TEST(Wire, SegmentKeyHelpers) {
-  Serializer s;
-  serialize_key(s, SegmentKey{ModelId::make(7, 9), 42});
-  Deserializer d(s.data());
-  auto k = deserialize_key(d);
+  auto k = round_trip(SegmentKey{ModelId::make(7, 9), 42});
   EXPECT_EQ(k.owner, ModelId::make(7, 9));
   EXPECT_EQ(k.vertex, 42u);
+}
+
+// Decode `valid` with byte `at` replaced by `value`.
+template <typename T>
+common::Status decode_patched(Bytes bytes, size_t at, uint8_t value) {
+  bytes.at(at) = std::byte{value};
+  Deserializer d(bytes);
+  (void)common::decode<T>(d);
+  return d.finish();
+}
+
+TEST(Wire, EnumsDecodedFromTheWireAreRangeChecked) {
+  // Byte layout: status (code 0x00, empty message 0x00), info count 0x01,
+  // then the entry's state byte at offset 3.
+  ReadSegmentsResponse resp;
+  resp.info.push_back({ReadEntryState::kRedirect, 44, 9});
+  const Bytes valid = common::encode(resp);
+  EXPECT_TRUE(decode_patched<ReadSegmentsResponse>(valid, 3, 2).ok());
+  // State 3 used to decode as a state the client's switch silently drops.
+  EXPECT_EQ(decode_patched<ReadSegmentsResponse>(valid, 3, 3).code(),
+            common::ErrorCode::kCorruption);
+
+  // Status code byte (offset 0): past kUnimplemented is Corruption.
+  EXPECT_TRUE(decode_patched<PutModelResponse>(
+                  common::encode(PutModelResponse{}), 0, 11)
+                  .ok());
+  EXPECT_EQ(decode_patched<PutModelResponse>(
+                common::encode(PutModelResponse{}), 0, 12)
+                .code(),
+            common::ErrorCode::kCorruption);
+
+  // Codec id in the stats codec table.
+  StatsResponse stats;
+  stats.codecs.push_back({compress::CodecId::kDeltaVsAncestor, 1, 2, 3});
+  const Bytes with_codec = common::encode(stats);
+  const size_t codec_at = with_codec.size() - 5;  // codec, 3 u64, hist count
+  EXPECT_EQ(with_codec[codec_at], std::byte{2});
+  EXPECT_TRUE(decode_patched<StatsResponse>(with_codec, codec_at, 2).ok());
+  EXPECT_EQ(decode_patched<StatsResponse>(with_codec, codec_at, 3).code(),
+            common::ErrorCode::kCorruption);
 }
 
 TEST(Wire, PutModelRequestFull) {
@@ -102,16 +133,18 @@ TEST(Wire, PutModelResponse) {
 TEST(Wire, GetMetaFoundAndNotFound) {
   GetMetaResponse found;
   found.found = true;
-  found.graph = chain_graph(3, 8);
-  found.owners = OwnerMap::self_owned(ModelId::make(1, 1), found.graph.size());
-  found.quality = 0.5;
-  found.ancestor = ModelId::make(1, 7);
-  found.store_time = 12.25;
-  found.store_seq = 3;
+  found.meta.graph = chain_graph(3, 8);
+  found.meta.owners =
+      OwnerMap::self_owned(ModelId::make(1, 1), found.meta.graph.size());
+  found.meta.quality = 0.5;
+  found.meta.ancestor = ModelId::make(1, 7);
+  found.meta.store_time = 12.25;
+  found.meta.store_seq = 3;
   auto out = round_trip(found);
   EXPECT_TRUE(out.found);
-  EXPECT_DOUBLE_EQ(out.store_time, 12.25);
-  EXPECT_EQ(out.ancestor, ModelId::make(1, 7));
+  EXPECT_DOUBLE_EQ(out.meta.store_time, 12.25);
+  EXPECT_EQ(out.meta.ancestor, ModelId::make(1, 7));
+  EXPECT_EQ(out.meta.owners, found.meta.owners);
 
   GetMetaResponse missing;  // found == false: nothing else on the wire
   auto out2 = round_trip(missing);
@@ -229,18 +262,21 @@ TEST(Wire, StatsMessages) {
 
   StatsResponse resp;
   resp.status = common::Status::Ok();
-  resp.puts = 10;
-  resp.segment_reads = 20;
-  resp.refs_added = 5;
-  resp.refs_removed = 3;
-  resp.segments_freed = 2;
-  resp.live_models = 4;
-  resp.live_segments = 16;
-  resp.logical_bytes = 1 << 20;
-  resp.physical_bytes = 1 << 18;
-  resp.not_modified_reads = 6;
-  resp.redirects_issued = 2;
-  resp.pins_reaped = 1;
+  resp.ops.puts = 10;
+  resp.ops.segment_reads = 20;
+  resp.ops.refs_added = 5;
+  resp.ops.refs_removed = 3;
+  resp.ops.segments_freed = 2;
+  resp.ops.not_modified_reads = 6;
+  resp.ops.redirects_issued = 2;
+  resp.ops.pins_reaped = 1;
+  resp.ops.lcp_queries = 9;
+  resp.dedup.hits = 8;
+  resp.dedup.saved_bytes = 4096;
+  resp.live.models = 4;
+  resp.live.segments = 16;
+  resp.live.logical_bytes = 1 << 20;
+  resp.live.physical_bytes = 1 << 18;
   resp.codecs.push_back(
       {compress::CodecId::kDeltaVsAncestor, 16, 1 << 20, 1 << 18});
   resp.histograms.push_back(
@@ -249,18 +285,21 @@ TEST(Wire, StatsMessages) {
       {"provider.segment_write_bytes", 7, 7.0 * 4096, 512, 65536, 4096, 60000,
        65000});
   auto out = round_trip(resp);
-  EXPECT_EQ(out.puts, 10u);
-  EXPECT_EQ(out.segment_reads, 20u);
-  EXPECT_EQ(out.refs_added, 5u);
-  EXPECT_EQ(out.refs_removed, 3u);
-  EXPECT_EQ(out.segments_freed, 2u);
-  EXPECT_EQ(out.live_models, 4u);
-  EXPECT_EQ(out.live_segments, 16u);
-  EXPECT_EQ(out.logical_bytes, 1u << 20);
-  EXPECT_EQ(out.physical_bytes, 1u << 18);
-  EXPECT_EQ(out.not_modified_reads, 6u);
-  EXPECT_EQ(out.redirects_issued, 2u);
-  EXPECT_EQ(out.pins_reaped, 1u);
+  EXPECT_EQ(out.ops.puts, 10u);
+  EXPECT_EQ(out.ops.segment_reads, 20u);
+  EXPECT_EQ(out.ops.refs_added, 5u);
+  EXPECT_EQ(out.ops.refs_removed, 3u);
+  EXPECT_EQ(out.ops.segments_freed, 2u);
+  EXPECT_EQ(out.ops.not_modified_reads, 6u);
+  EXPECT_EQ(out.ops.redirects_issued, 2u);
+  EXPECT_EQ(out.ops.pins_reaped, 1u);
+  EXPECT_EQ(out.ops.lcp_queries, 9u);
+  EXPECT_EQ(out.dedup.hits, 8u);
+  EXPECT_EQ(out.dedup.saved_bytes, 4096u);
+  EXPECT_EQ(out.live.models, 4u);
+  EXPECT_EQ(out.live.segments, 16u);
+  EXPECT_EQ(out.live.logical_bytes, 1u << 20);
+  EXPECT_EQ(out.live.physical_bytes, 1u << 18);
   EXPECT_EQ(out.codecs, resp.codecs);
   EXPECT_EQ(out.histograms, resp.histograms);
 
@@ -271,18 +310,18 @@ TEST(Wire, StatsMessages) {
 TEST(Wire, MergeStatsHistograms) {
   StatsResponse a;
   a.status = common::Status::Ok();
-  a.puts = 3;
+  a.ops.puts = 3;
   a.histograms.push_back({"rpc.call_seconds", 10, 1.0, 0.05, 0.3, 0.1, 0.2,
                           0.25});
   a.histograms.push_back({"zeta.only_in_a", 1, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0});
   StatsResponse b;
   b.status = common::Status::Ok();
-  b.puts = 4;
+  b.ops.puts = 4;
   b.histograms.push_back({"rpc.call_seconds", 30, 6.0, 0.01, 0.9, 0.2, 0.5,
                           0.8});
 
   auto total = merge_stats({a, b});
-  EXPECT_EQ(total.puts, 7u);
+  EXPECT_EQ(total.ops.puts, 7u);
   ASSERT_EQ(total.histograms.size(), 2u);
   // Name-sorted output.
   EXPECT_EQ(total.histograms[0].name, "rpc.call_seconds");
@@ -299,6 +338,37 @@ TEST(Wire, MergeStatsHistograms) {
   EXPECT_DOUBLE_EQ(m.p99, (10 * 0.25 + 30 * 0.8) / 40.0);
   // Entries present on only one side pass through unchanged.
   EXPECT_EQ(total.histograms[1], a.histograms[1]);
+}
+
+TEST(Wire, MergeStatsSumsEveryCounter) {
+  // Every counter member is named in its struct's fields() (the size check),
+  // and the merge sums each one: give each a distinct value through the
+  // same field lists the merge walks.
+  StatsResponse a;
+  StatsResponse b;
+  CounterRefs ra;
+  CounterRefs rb;
+  ra.visit(a.ops);
+  ra.visit(a.dedup);
+  ra.visit(a.live);
+  rb.visit(b.ops);
+  rb.visit(b.dedup);
+  rb.visit(b.live);
+  ASSERT_EQ(ra.refs.size(), sizeof(ProviderStats) / 8 +
+                                sizeof(storage::ChunkStoreStats) / 8 +
+                                sizeof(LiveStats) / 8);
+  for (size_t i = 0; i < ra.refs.size(); ++i) {
+    *ra.refs[i] = i + 1;
+    *rb.refs[i] = 100 * (i + 1);
+  }
+  StatsResponse total = merge_stats({a, b});
+  CounterRefs rt;
+  rt.visit(total.ops);
+  rt.visit(total.dedup);
+  rt.visit(total.live);
+  for (size_t i = 0; i < rt.refs.size(); ++i) {
+    EXPECT_EQ(*rt.refs[i], 101 * (i + 1)) << i;
+  }
 }
 
 TEST(Wire, RetireMessages) {
@@ -357,11 +427,12 @@ TEST(Wire, ReplicateMessages) {
   ReplicateRequest req;
   req.has_meta = true;
   req.id = ModelId::make(9, 1);
-  req.graph = g;
-  req.owners = OwnerMap::self_owned(req.id, g.size());
-  req.quality = 0.75;
-  req.ancestor = ModelId::make(9, 0);
-  req.store_time = 17.5;
+  req.meta.graph = g;
+  req.meta.owners = OwnerMap::self_owned(req.id, g.size());
+  req.meta.quality = 0.75;
+  req.meta.ancestor = ModelId::make(9, 0);
+  req.meta.store_time = 17.5;
+  req.meta.store_seq = 4;  // stays home: not on the wire
   ReplicateSegment seg;
   seg.key = SegmentKey{req.id, 1};
   seg.segment = raw_envelope(model::make_random_segment(g, 1, 6));
@@ -372,11 +443,12 @@ TEST(Wire, ReplicateMessages) {
   auto out = round_trip(req);
   EXPECT_TRUE(out.has_meta);
   EXPECT_EQ(out.id, req.id);
-  EXPECT_EQ(out.graph.graph_hash(), g.graph_hash());
-  EXPECT_EQ(out.owners, req.owners);
-  EXPECT_DOUBLE_EQ(out.quality, req.quality);
-  EXPECT_EQ(out.ancestor, req.ancestor);
-  EXPECT_DOUBLE_EQ(out.store_time, req.store_time);
+  EXPECT_EQ(out.meta.graph.graph_hash(), g.graph_hash());
+  EXPECT_EQ(out.meta.owners, req.meta.owners);
+  EXPECT_DOUBLE_EQ(out.meta.quality, req.meta.quality);
+  EXPECT_EQ(out.meta.ancestor, req.meta.ancestor);
+  EXPECT_DOUBLE_EQ(out.meta.store_time, req.meta.store_time);
+  EXPECT_EQ(out.meta.store_seq, 0u);
   ASSERT_EQ(out.segments.size(), 1u);
   EXPECT_EQ(out.segments[0].key, seg.key);
   EXPECT_EQ(out.segments[0].segment, seg.segment);
@@ -481,29 +553,29 @@ TEST(Wire, RepairMessages) {
 TEST(Wire, StatsReplicationCounters) {
   StatsResponse resp;
   resp.status = common::Status::Ok();
-  resp.handoff_recorded = 5;
-  resp.handoff_replayed = 4;
-  resp.handoff_discarded = 1;
-  resp.replica_chunks_fetched = 9;
-  resp.drain_models_moved = 2;
-  resp.drain_segments_moved = 20;
+  resp.ops.hints_recorded = 5;
+  resp.ops.hints_replayed = 4;
+  resp.ops.hints_discarded = 1;
+  resp.ops.replica_chunks_fetched = 9;
+  resp.ops.drain_models_moved = 2;
+  resp.ops.drain_segments_moved = 20;
   auto out = round_trip(resp);
-  EXPECT_EQ(out.handoff_recorded, 5u);
-  EXPECT_EQ(out.handoff_replayed, 4u);
-  EXPECT_EQ(out.handoff_discarded, 1u);
-  EXPECT_EQ(out.replica_chunks_fetched, 9u);
-  EXPECT_EQ(out.drain_models_moved, 2u);
-  EXPECT_EQ(out.drain_segments_moved, 20u);
+  EXPECT_EQ(out.ops.hints_recorded, 5u);
+  EXPECT_EQ(out.ops.hints_replayed, 4u);
+  EXPECT_EQ(out.ops.hints_discarded, 1u);
+  EXPECT_EQ(out.ops.replica_chunks_fetched, 9u);
+  EXPECT_EQ(out.ops.drain_models_moved, 2u);
+  EXPECT_EQ(out.ops.drain_segments_moved, 20u);
 
   StatsResponse other;
   other.status = common::Status::Ok();
-  other.handoff_recorded = 1;
-  other.replica_chunks_fetched = 1;
-  other.drain_segments_moved = 2;
+  other.ops.hints_recorded = 1;
+  other.ops.replica_chunks_fetched = 1;
+  other.ops.drain_segments_moved = 2;
   auto total = merge_stats({resp, other});
-  EXPECT_EQ(total.handoff_recorded, 6u);
-  EXPECT_EQ(total.replica_chunks_fetched, 10u);
-  EXPECT_EQ(total.drain_segments_moved, 22u);
+  EXPECT_EQ(total.ops.hints_recorded, 6u);
+  EXPECT_EQ(total.ops.replica_chunks_fetched, 10u);
+  EXPECT_EQ(total.ops.drain_segments_moved, 22u);
 }
 
 TEST(Wire, LcpQueryMessages) {

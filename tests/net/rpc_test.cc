@@ -272,23 +272,21 @@ TEST(Rpc, PayloadSizeAffectsTransferTime) {
 
 struct PingReq {
   int64_t x = 0;
-  void serialize(Serializer& s) const { s.i64(x); }
-  static PingReq deserialize(Deserializer& d) { return PingReq{d.i64()}; }
+  template <class V>
+  void fields(V& v) { v(x); }
 };
 struct PingResp {
   int64_t y = 0;
-  void serialize(Serializer& s) const { s.i64(y); }
-  static PingResp deserialize(Deserializer& d) { return PingResp{d.i64()}; }
+  template <class V>
+  void fields(V& v) { v(y); }
 };
 
 TEST(Rpc, TypedCallRoundTrip) {
   Env env;
   env.rpc.register_handler(env.b, "double", [](Bytes req) -> CoTask<Bytes> {
     Deserializer d(req);
-    auto in = PingReq::deserialize(d);
-    Serializer s;
-    PingResp{in.x * 2}.serialize(s);
-    co_return std::move(s).take();
+    auto in = common::decode<PingReq>(d);
+    co_return common::encode(PingResp{in.x * 2});
   });
   auto task = [&]() -> CoTask<int64_t> {
     auto r = co_await typed_call<PingResp>(&env.rpc, env.a, env.b, "double",

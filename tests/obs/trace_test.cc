@@ -119,7 +119,7 @@ TEST(Trace, PutModelLinksToProviderWritesAcrossRpc) {
     EXPECT_TRUE(r.complete()) << r.name;
     if (r.name == "segment_write" || r.name == "kv_commit") {
       // The provider-side span must chain back to the client's put_model
-      // root — the context crossed the wire header.
+      // root — the context crossed the RPC.
       EXPECT_EQ(r.trace_id, put_root->trace_id) << r.name;
       EXPECT_TRUE(has_ancestor(by_id, r.span_id, put_root->span_id)) << r.name;
       (r.name == "segment_write" ? segment_writes : kv_commits) += 1;
@@ -131,6 +131,40 @@ TEST(Trace, PutModelLinksToProviderWritesAcrossRpc) {
   EXPECT_GT(kv_commits, 0u);
   EXPECT_GT(rpc_spans, 0u);
   EXPECT_GT(serve_spans, 0u);
+}
+
+TEST(Trace, TracingChangesNoWireBytesOrTimings) {
+  // The trace context travels beside the message, not in it: a traced run
+  // moves the same request/response bytes and finishes at the same
+  // simulated instant as the untraced run.
+  struct Run {
+    double request_bytes, response_bytes, done_at;
+    size_t spans;
+  };
+  auto run = [](bool traced) {
+    ClusterEnv env(3);
+    Tracer tracer(env.sim);
+    if (traced) env.rpc.set_tracer(&tracer);
+    auto m =
+        model::Model::random(env.repo->allocate_id(), chain_graph(8, 16), 5);
+    auto store_and_read = [&]() -> sim::CoTask<common::Status> {
+      auto st = co_await env.client().put_model(m, nullptr);
+      if (!st.ok()) co_return st;
+      auto back = co_await env.client().get_model(m.id());
+      co_return back.status();
+    };
+    EXPECT_TRUE(env.run(store_and_read()).ok());
+    env.rpc.set_tracer(nullptr);
+    return Run{env.rpc.stats().request_bytes, env.rpc.stats().response_bytes,
+               env.sim.now(), tracer.records().size()};
+  };
+  Run plain = run(false);
+  Run traced = run(true);
+  EXPECT_EQ(plain.spans, 0u);
+  EXPECT_GT(traced.spans, 0u);
+  EXPECT_EQ(traced.request_bytes, plain.request_bytes);
+  EXPECT_EQ(traced.response_bytes, plain.response_bytes);
+  EXPECT_EQ(traced.done_at, plain.done_at);
 }
 
 TEST(Trace, RetryAttemptsAreTaggedSpans) {
