@@ -2,6 +2,7 @@
 // serialization — the metadata costs behind every query and put.
 #include <benchmark/benchmark.h>
 
+#include "common/fields.h"
 #include "model/model.h"
 #include "nas/attn_space.h"
 #include "workload/deepspace.h"
@@ -50,10 +51,9 @@ void BM_GraphSerde(benchmark::State& state) {
   common::Xoshiro256 rng(3);
   auto g = space.decode_graph(space.random(rng));
   for (auto _ : state) {
-    common::Serializer s;
-    g.serialize(s);
-    common::Deserializer d(s.data());
-    auto out = model::ArchGraph::deserialize(d);
+    common::Bytes bytes = common::encode(g);
+    common::Deserializer d(bytes);
+    auto out = common::decode<model::ArchGraph>(d);
     benchmark::DoNotOptimize(out.size());
   }
 }
@@ -81,10 +81,9 @@ void BM_SegmentSerde(benchmark::State& state) {
     if (m.segment(v).nbytes() > m.segment(big).nbytes()) big = v;
   }
   for (auto _ : state) {
-    common::Serializer s;
-    m.segment(big).serialize(s);
-    common::Deserializer d(s.data());
-    auto out = model::Segment::deserialize(d);
+    common::Bytes bytes = common::encode(m.segment(big));
+    common::Deserializer d(bytes);
+    auto out = common::decode<model::Segment>(d);
     benchmark::DoNotOptimize(out.nbytes());
   }
 }

@@ -2,6 +2,7 @@
 // the metadata path of every put/get/retire.
 #include <benchmark/benchmark.h>
 
+#include "common/fields.h"
 #include "core/owner_map.h"
 
 namespace {
@@ -61,10 +62,9 @@ BENCHMARK(BM_OwnerMapContributors)->Arg(100)->Arg(1000);
 void BM_OwnerMapSerde(benchmark::State& state) {
   auto map = make_mixed_map(static_cast<size_t>(state.range(0)), 16);
   for (auto _ : state) {
-    common::Serializer s;
-    map.serialize(s);
-    common::Deserializer d(s.data());
-    auto out = OwnerMap::deserialize(d);
+    common::Bytes bytes = common::encode(map);
+    common::Deserializer d(bytes);
+    auto out = common::decode<OwnerMap>(d);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetBytesProcessed(state.iterations() *

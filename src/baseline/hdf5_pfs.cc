@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fields.h"
 #include "common/log.h"
 
 namespace evostore::baseline {
@@ -43,12 +44,10 @@ sim::CoTask<Status> Hdf5PfsRepository::store(NodeId client, const Model& m,
   }
   if (need_weights) {
     storage::H5Writer writer;
-    common::Serializer arch;
     // store() is always awaited by the frame that owns the model (never
     // spawned detached), so `m` outlives this coroutine by contract.
     // evo-lint: suppress(EVO-CORO-003) m pinned by the awaiting caller
-    m.graph().serialize(arch);
-    common::Bytes arch_bytes = std::move(arch).take();
+    common::Bytes arch_bytes = common::encode(m.graph());
     writer.put_attr("arch", std::string(
                                 reinterpret_cast<const char*>(arch_bytes.data()),
                                 arch_bytes.size()));
@@ -81,10 +80,8 @@ sim::CoTask<Result<Model>> Hdf5PfsRepository::load(NodeId client, ModelId id) {
   if (!reader.ok()) co_return reader.status();
   auto arch_attr = reader->attr("arch");
   if (!arch_attr.ok()) co_return arch_attr.status();
-  common::Deserializer d(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(arch_attr->data()),
-      arch_attr->size()));
-  model::ArchGraph graph = model::ArchGraph::deserialize(d);
+  common::Deserializer d(std::as_bytes(std::span(*arch_attr)));
+  auto graph = common::decode<model::ArchGraph>(d);
   if (!d.ok()) co_return d.status();
   Model m(id, std::move(graph));
   auto quality_attr = reader->attr("quality");

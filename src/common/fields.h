@@ -16,6 +16,7 @@
 //   int32_t, int64_t                zig-zag varint
 //   double                          8 raw little-endian bytes
 //   std::string, Bytes              length-prefixed
+//   Buffer                          tagged (Serializer::buffer)
 //   Status                          code byte (range-checked) + message
 //   ModelId, SegmentKey, Hash128,   their members, in declaration order
 //   std::pair
@@ -24,11 +25,10 @@
 //                                   left (min_wire_bytes<T>() per element)
 //                                   before it allocates
 //   nested `fields()` types         their own list
-//   ArchGraph, OwnerMap,            delegated to their own serialize /
-//   CompressedSegment               deserialize
 // Layouts a flat list cannot express are written inline in `fields()`:
 // an optional tail is `v(found); if (found) v(...)`, and the rare line that
-// differs by direction tests the visitor's `kDecoding`.
+// differs by direction tests the visitor's `kDecoding`, as does post-decode
+// validation, which fails the stream through `v.corrupt(msg)`.
 #pragma once
 
 #include <algorithm>
@@ -51,13 +51,6 @@ class FieldWriter;
 /// A type that lists its own fields.
 template <class T>
 concept HasFields = requires(T& t, FieldWriter& v) { t.fields(v); };
-
-/// A type that keeps its own hand-written serde.
-template <class T>
-concept HasSerde = requires(const T& t, Serializer& s, Deserializer& d) {
-  t.serialize(s);
-  { T::deserialize(d) } -> std::same_as<T>;
-};
 
 template <class T>
 concept IsVector = std::same_as<T, std::vector<typename T::value_type>>;
@@ -121,15 +114,15 @@ class FieldWriter : public FieldVisitor<FieldWriter> {
       s_->str(x);
     } else if constexpr (std::is_same_v<T, Bytes>) {
       s_->bytes(x);
+    } else if constexpr (std::is_same_v<T, Buffer>) {
+      s_->buffer(x);
     } else if constexpr (std::is_same_v<T, Status>) {
       s_->u8(static_cast<uint8_t>(x.code()));
       s_->str(x.message());
-    } else if constexpr (IsVector<T>) {
+    } else {
+      static_assert(IsVector<T>, "no wire encoding for this field type");
       s_->u64(x.size());
       for (auto& e : x) visit(e);
-    } else {
-      static_assert(HasSerde<T>, "no wire encoding for this field type");
-      x.serialize(*s_);
     }
   }
 
@@ -138,9 +131,8 @@ class FieldWriter : public FieldVisitor<FieldWriter> {
 };
 
 /// Sums a lower bound on the encoded size of a field list: every varint,
-/// byte and length prefix is at least one byte, a double is eight, and an
-/// optional tail counts as absent. Types with their own serde declare
-/// `kMinWireBytes`.
+/// byte and length prefix is at least one byte, a double is eight, a Buffer
+/// is a tag plus a length, and an optional tail counts as absent.
 class MinWireBytes : public FieldVisitor<MinWireBytes> {
  public:
   static constexpr bool kDecoding = false;
@@ -150,10 +142,9 @@ class MinWireBytes : public FieldVisitor<MinWireBytes> {
   void leaf(const T&) {
     if constexpr (std::is_same_v<T, double>) {
       total += 8;
-    } else if constexpr (std::is_same_v<T, Status>) {
+    } else if constexpr (std::is_same_v<T, Status> ||
+                         std::is_same_v<T, Buffer>) {
       total += 2;
-    } else if constexpr (HasSerde<T>) {
-      total += T::kMinWireBytes;
     } else {
       total += 1;
     }
@@ -186,6 +177,9 @@ class FieldReader : public FieldVisitor<FieldReader> {
     return d_->check_count(n, min_bytes_each);
   }
 
+  /// For `fields()` post-decode checks; see Deserializer::corrupt.
+  void corrupt(std::string msg) { d_->corrupt(std::move(msg)); }
+
   template <class T>
   void leaf(T& x) {
     if constexpr (std::is_enum_v<T>) {
@@ -209,11 +203,14 @@ class FieldReader : public FieldVisitor<FieldReader> {
       x = d_->str();
     } else if constexpr (std::is_same_v<T, Bytes>) {
       x = d_->bytes();
+    } else if constexpr (std::is_same_v<T, Buffer>) {
+      x = d_->buffer();
     } else if constexpr (std::is_same_v<T, Status>) {
       ErrorCode code = read_enum<ErrorCode>();
       std::string msg = d_->str();
       x = Status(code, std::move(msg));
-    } else if constexpr (IsVector<T>) {
+    } else {
+      static_assert(IsVector<T>, "no wire encoding for this field type");
       uint64_t n = d_->u64();
       if (!check_count(n, min_wire_bytes<typename T::value_type>())) return;
       x.resize(n);
@@ -221,9 +218,6 @@ class FieldReader : public FieldVisitor<FieldReader> {
         if (!d_->ok()) break;
         visit(e);
       }
-    } else {
-      static_assert(HasSerde<T>, "no wire encoding for this field type");
-      x = T::deserialize(*d_);
     }
   }
 
@@ -241,13 +235,19 @@ class FieldReader : public FieldVisitor<FieldReader> {
   Deserializer* d_;
 };
 
+/// Append the encoding of `msg` to `s`.
 template <class T>
-Bytes encode(const T& msg) {
-  Serializer s;
+void encode_to(Serializer& s, const T& msg) {
   FieldWriter w(s);
   // The walk hands out non-const references so one `fields()` serves both
   // directions; the writer never modifies through them.
   w.visit(const_cast<T&>(msg));
+}
+
+template <class T>
+Bytes encode(const T& msg) {
+  Serializer s;
+  encode_to(s, msg);
   return std::move(s).take();
 }
 

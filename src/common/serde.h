@@ -1,5 +1,6 @@
-// Compact binary serialization used for wire messages (RPC payloads), stored
-// metadata (owner maps, architecture graphs), and the H5-like file format.
+// Compact binary serialization primitives. Types list their fields once in
+// `fields()` and common/fields.h drives these primitives; only algorithm
+// output streams (codec tag streams, zero-RLE runs) call them directly.
 //
 // Encoding: LEB128 varints for unsigned integers and lengths, zig-zag for
 // signed, raw little-endian for doubles, length-prefixed byte strings.

@@ -1,5 +1,7 @@
 #include "compress/codec.h"
 
+#include "common/fields.h"
+
 namespace evostore::compress {
 
 namespace {
@@ -15,13 +17,13 @@ class RawCodec final : public Codec {
 
   Result<uint64_t> encode(const model::Segment& in, const model::Segment*,
                           Serializer& s) const override {
-    in.serialize(s);
+    common::encode_to(s, in);
     return static_cast<uint64_t>(in.nbytes());
   }
 
   Result<model::Segment> decode(Deserializer& d, const model::Segment*,
                                 uint64_t) const override {
-    auto seg = model::Segment::deserialize(d);
+    auto seg = common::decode<model::Segment>(d);
     if (!d.ok()) return d.status();
     return seg;
   }

@@ -1,7 +1,6 @@
 #include "compress/compressed_segment.h"
 
 #include <chrono>
-#include <string>
 #include <utility>
 
 namespace evostore::compress {
@@ -22,69 +21,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-void CompressedSegment::serialize(common::Serializer& s) const {
-  s.u8(static_cast<uint8_t>(kind));
-  s.u8(static_cast<uint8_t>(codec));
-  s.u64(logical_bytes);
-  s.u64(physical_bytes);
-  s.boolean(has_base);
-  if (has_base) {
-    s.u64(base.owner.value);
-    s.u32(base.vertex);
-  }
-  if (kind == EnvelopeKind::kChunked) {
-    s.u64(chunks.size());
-    for (const ChunkRef& c : chunks) {
-      s.u64(c.digest.hi);
-      s.u64(c.digest.lo);
-      s.u32(c.bytes);
-    }
-  } else {
-    s.bytes(payload);
-  }
-}
-
-CompressedSegment CompressedSegment::deserialize(common::Deserializer& d) {
-  CompressedSegment env;
-  uint8_t kind = d.u8();
-  if (d.ok() && kind >= kEnvelopeKindCount) {
-    // Defined forward-compatibility error: a reader that does not know this
-    // envelope kind cannot interpret the remainder of the record.
-    d.corrupt("unknown envelope kind " + std::to_string(kind));
-    return env;
-  }
-  env.kind = static_cast<EnvelopeKind>(kind);
-  uint8_t codec = d.u8();
-  if (d.ok() && codec_index(static_cast<CodecId>(codec)) >= kCodecCount) {
-    d.corrupt("unknown codec id " + std::to_string(codec));
-    return env;
-  }
-  env.codec = static_cast<CodecId>(codec);
-  env.logical_bytes = d.u64();
-  env.physical_bytes = d.u64();
-  env.has_base = d.boolean();
-  if (env.has_base) {
-    env.base.owner.value = d.u64();
-    env.base.vertex = d.u32();
-  }
-  if (env.kind == EnvelopeKind::kChunked) {
-    uint64_t n = d.u64();
-    // >= hi + lo + size bytes per manifest entry.
-    if (!d.check_count(n, 3)) return env;
-    env.chunks.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      ChunkRef c;
-      c.digest.hi = d.u64();
-      c.digest.lo = d.u64();
-      c.bytes = d.u32();
-      env.chunks.push_back(c);
-    }
-  } else {
-    env.payload = d.bytes();
-  }
-  return env;
-}
 
 Result<CompressedSegment> compress_segment(const model::Segment& seg,
                                            CodecId preferred,

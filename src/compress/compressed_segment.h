@@ -1,20 +1,9 @@
 // CompressedSegment: the self-describing envelope a segment travels and is
-// stored in once a codec has run.
-//
-// Envelope layout (serde):
-//   u8      kind            — versioned envelope kind (EnvelopeKind); an
-//                             unknown kind is a defined decode error, so a
-//                             reader predating a kind fails cleanly instead
-//                             of misparsing the remainder
-//   u8      codec id
-//   varint  logical_bytes   — decoded tensor content size
-//   varint  physical_bytes  — modeled storage/wire cost of the payload
-//   bool    has_base
-//   [key]   base SegmentKey (owner u64 + vertex u32), present iff has_base
-//   kInline:  bytes  codec payload
-//   kChunked: varint chunk count, then per chunk (digest hi u64, digest lo
-//             u64, size u32) — a manifest referencing a provider-side
-//             content-addressed chunk store instead of carrying the payload
+// stored in once a codec has run. Its layout is its `fields()` list. The
+// kind comes first and is range-checked on decode, so a reader predating a
+// kind fails cleanly instead of misparsing the remainder; a kChunked
+// envelope carries a manifest referencing a provider-side content-addressed
+// chunk store instead of the payload.
 //
 // A DeltaVsAncestor envelope depends on its base segment: the provider holds
 // one reference on `base` for as long as the envelope lives, and releases it
@@ -33,7 +22,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/serde.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "compress/codec.h"
@@ -41,15 +29,17 @@
 
 namespace evostore::compress {
 
-/// Envelope storage representation. New kinds append here; decoders reject
-/// values >= kEnvelopeKindCount with a Corruption error (old readers fail
-/// cleanly on envelopes from the future).
+/// Envelope storage representation. New kinds append here (and move
+/// last_enumerator); decoders reject later values with a Corruption error
+/// (old readers fail cleanly on envelopes from the future).
 enum class EnvelopeKind : uint8_t {
   kInline = 0,   // payload bytes carried in the envelope
   kChunked = 1,  // payload replaced by a chunk-store manifest
 };
 
-inline constexpr uint8_t kEnvelopeKindCount = 2;
+constexpr EnvelopeKind last_enumerator(EnvelopeKind) {
+  return EnvelopeKind::kChunked;
+}
 
 /// One manifest entry of a kChunked envelope: the chunk's content digest and
 /// the number of payload bytes it covers (sizes let reassembly pre-validate
@@ -59,6 +49,9 @@ struct ChunkRef {
   uint32_t bytes = 0;
 
   friend bool operator==(const ChunkRef&, const ChunkRef&) = default;
+
+  template <class V>
+  void fields(V& v) { v(digest, bytes); }
 };
 
 struct CompressedSegment {
@@ -81,17 +74,18 @@ struct CompressedSegment {
   friend bool operator==(const CompressedSegment&,
                          const CompressedSegment&) = default;
 
-  /// Smallest encoding: kind, codec, both sizes, has_base, and a payload
-  /// length or manifest count, one byte each (vector count checks).
-  static constexpr size_t kMinWireBytes = 6;
-
-  void serialize(common::Serializer& s) const;
-  /// Total: never crashes on corrupt input. An unknown envelope kind or an
-  /// out-of-range codec id fails the stream with a Corruption status (the
-  /// defined forward-compatibility error); truncation is reported by the
-  /// stream's own status. Codec/size validity beyond the id range is checked
-  /// by decompress_segment.
-  static CompressedSegment deserialize(common::Deserializer& d);
+  /// Codec/size validity beyond the kind and codec id ranges is checked by
+  /// decompress_segment.
+  template <class V>
+  void fields(V& v) {
+    v(kind, codec, logical_bytes, physical_bytes, has_base);
+    if (has_base) v(base);
+    if (kind == EnvelopeKind::kChunked) {
+      v(chunks);
+    } else {
+      v(payload);
+    }
+  }
 };
 
 /// A non-Raw encoding is kept only when physical < this fraction of logical;

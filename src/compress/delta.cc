@@ -12,6 +12,7 @@
 //   kRawTensor — everything else (changed synthetic streams do not delta).
 #include <cstring>
 
+#include "common/fields.h"
 #include "compress/codec.h"
 #include "compress/zero_rle.h"
 #include "model/tensor.h"
@@ -47,7 +48,7 @@ class DeltaVsAncestorCodec final : public Codec {
       const model::Tensor& t = in.tensors[i];
       const model::Tensor* bt =
           i < base->tensors.size() ? &base->tensors[i] : nullptr;
-      t.spec().serialize(s);
+      common::encode_to(s, t.spec());
       bool spec_match = bt != nullptr && t.spec() == bt->spec();
       if (spec_match && t.identity() == bt->identity()) {
         s.u8(kSame);
@@ -88,7 +89,7 @@ class DeltaVsAncestorCodec final : public Codec {
     out.tensors.reserve(n);
     uint64_t remaining = logical_bytes;
     for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      auto spec = model::TensorSpec::deserialize(d);
+      auto spec = common::decode<model::TensorSpec>(d);
       uint8_t tag = d.u8();
       if (!d.ok()) return d.status();
       size_t nb = spec.nbytes();

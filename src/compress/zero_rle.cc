@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/fields.h"
 #include "compress/codec.h"
 #include "model/tensor.h"
 
@@ -88,7 +89,7 @@ class ZeroRleCodec final : public Codec {
     uint64_t physical = 0;
     s.u64(in.tensors.size());
     for (const auto& t : in.tensors) {
-      t.spec().serialize(s);
+      common::encode_to(s, t.spec());
       // Synthetic content is a full-entropy stream: never compressible,
       // and materializing it would defeat the O(1) descriptor path.
       if (!t.data().is_synthetic()) {
@@ -115,7 +116,7 @@ class ZeroRleCodec final : public Codec {
     out.tensors.reserve(n);
     uint64_t remaining = logical_bytes;
     for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      auto spec = model::TensorSpec::deserialize(d);
+      auto spec = common::decode<model::TensorSpec>(d);
       uint8_t tag = d.u8();
       if (!d.ok()) return d.status();
       size_t nb = spec.nbytes();

@@ -62,25 +62,4 @@ double OwnerMap::shared_fraction(ModelId self) const {
   return static_cast<double>(shared) / static_cast<double>(entries_.size());
 }
 
-void OwnerMap::serialize(common::Serializer& s) const {
-  s.u64(entries_.size());
-  for (const auto& e : entries_) {
-    s.u64(e.owner.value);
-    s.u32(e.vertex);
-  }
-}
-
-OwnerMap OwnerMap::deserialize(common::Deserializer& d) {
-  OwnerMap m;
-  uint64_t n = d.u64();
-  if (!d.check_count(n, 2)) return m;
-  m.entries_.reserve(n);
-  for (uint64_t i = 0; i < n && d.ok(); ++i) {
-    ModelId owner{d.u64()};
-    VertexId vertex = d.u32();
-    m.entries_.push_back(SegmentKey{owner, vertex});
-  }
-  return m;
-}
-
 }  // namespace evostore::core

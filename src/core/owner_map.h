@@ -15,7 +15,6 @@
 #include <map>
 #include <vector>
 
-#include "common/serde.h"
 #include "common/types.h"
 
 namespace evostore::core {
@@ -65,8 +64,8 @@ class OwnerMap {
   /// Serialized metadata footprint: 128 bits per leaf layer.
   size_t metadata_bytes() const { return entries_.size() * 16; }
 
-  void serialize(common::Serializer& s) const;
-  static OwnerMap deserialize(common::Deserializer& d);
+  template <class V>
+  void fields(V& v) { v(entries_); }
 
   friend bool operator==(const OwnerMap&, const OwnerMap&) = default;
 

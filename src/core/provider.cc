@@ -102,10 +102,8 @@ void Provider::persist_pin(uint64_t epoch, const common::SegmentKey& key,
     (void)backend_->erase(pin_record_key(epoch, key));
     return;
   }
-  common::Serializer s;
-  s.u64(count);
   auto st = backend_->put(pin_record_key(epoch, key),
-                          common::Buffer::dense(std::move(s).take()));
+                          common::Buffer::dense(encode(uint64_t{count})));
   if (!st.ok()) EVO_WARN << "persist_pin: " << st.to_string();
 }
 
@@ -328,11 +326,9 @@ void Provider::dedup_store(uint64_t token, const common::Bytes& response) {
   if (!dedup_.emplace(token, response).second) return;  // already cached
   dedup_order_.push_back(token);
   if (backend_ != nullptr) {
-    common::Serializer s;
-    s.u64(++dedup_seq_);
-    s.bytes(response);
-    auto st = backend_->put(token_key(token),
-                            common::Buffer::dense(std::move(s).take()));
+    auto st = backend_->put(
+        token_key(token),
+        common::Buffer::dense(encode(TokenRecord{++dedup_seq_, response})));
     if (!st.ok()) EVO_WARN << "dedup_store: " << st.to_string();
   }
   while (dedup_order_.size() > config_.dedup_window) {
@@ -377,8 +373,8 @@ void Provider::restore_from_backend() {
   // order (MemKv hashes, LogKv replays the log).
   std::vector<std::string> keys = backend_->keys();
   std::sort(keys.begin(), keys.end());
-  // (dedup seq, token, packed response) — ordered below to rebuild the FIFO.
-  std::vector<std::tuple<uint64_t, uint64_t, common::Bytes>> tokens;
+  // dedup seq -> (token, packed response), in the FIFO order rebuilt below.
+  std::multimap<uint64_t, std::pair<uint64_t, common::Bytes>> tokens;
   for (const auto& key : keys) {
     auto value = backend_->get(key);
     if (!value.ok()) continue;
@@ -394,26 +390,17 @@ void Provider::restore_from_backend() {
       // Sorted iteration visits "chunk/" before "meta/" and "seg/", so every
       // chunk record is installed (at zero references) before any surviving
       // segment manifest re-references it below.
-      uint64_t seq = std::strtoull(key.c_str() + 6, nullptr, 10);
-      common::Hash128 digest;
-      digest.hi = d.u64();
-      digest.lo = d.u64();
-      uint64_t cost = d.u64();
-      common::Bytes bytes = d.bytes();
-      if (!d.finish().ok()) {
+      if (!chunk_store_.restore_record(key, value->dense_span())) {
         EVO_WARN << "restore: corrupt chunk record '" << key << "'";
-        continue;
       }
-      chunk_store_.install(digest, std::move(bytes), cost, seq);
     } else if (key.rfind("tok/", 0) == 0) {
       uint64_t token = std::strtoull(key.c_str() + 4, nullptr, 10);
-      uint64_t at = d.u64();
-      common::Bytes resp = d.bytes();
+      auto record = decode<TokenRecord>(d);
       if (!d.finish().ok()) {
         EVO_WARN << "restore: corrupt token record '" << key << "'";
         continue;
       }
-      tokens.emplace_back(at, token, std::move(resp));
+      tokens.emplace(record.seq, std::pair(token, std::move(record.response)));
     } else if (key.rfind("hint/", 0) == 0) {
       // Parked hinted handoffs survive this provider's own crashes: the
       // guarantee is "replayed once the target recovers", not "replayed
@@ -447,7 +434,7 @@ void Provider::restore_from_backend() {
       if (end == nullptr || *end != '/') continue;
       auto vertex =
           static_cast<common::VertexId>(std::strtoul(end + 1, nullptr, 10));
-      uint64_t count = d.u64();
+      auto count = decode<uint64_t>(d);
       if (!d.finish().ok() || count == 0) {
         EVO_WARN << "restore: corrupt pin record '" << key << "'";
         continue;
@@ -462,8 +449,7 @@ void Provider::restore_from_backend() {
       auto vertex = static_cast<common::VertexId>(
           std::strtoul(end + 1, nullptr, 10));
       auto entry = decode<SegEntry>(d);
-      if (!d.finish().ok() ||
-          compress::codec_for(entry.segment.codec) == nullptr) {
+      if (!d.finish().ok()) {
         EVO_WARN << "restore: corrupt segment record '" << key << "'";
         continue;
       }
@@ -500,14 +486,10 @@ void Provider::restore_from_backend() {
   }
   // Rebuild the idempotency cache in its original FIFO order so a retry
   // arriving after a crash still replays instead of re-applying.
-  std::sort(tokens.begin(), tokens.end(),
-            [](const auto& a, const auto& b) {
-              return std::get<0>(a) < std::get<0>(b);
-            });
-  for (auto& [at, token, resp] : tokens) {
+  for (auto& [at, entry] : tokens) {
     dedup_seq_ = std::max(dedup_seq_, at);
-    if (dedup_.emplace(token, std::move(resp)).second) {
-      dedup_order_.push_back(token);
+    if (dedup_.emplace(entry.first, std::move(entry.second)).second) {
+      dedup_order_.push_back(entry.first);
     }
   }
   // Chunk records whose every referencing manifest died with the crash (the
@@ -622,10 +604,6 @@ sim::CoTask<Bytes> Provider::handle_put(Bytes request,
   }
   uint64_t physical = 0;
   for (const auto& [v, env] : req.new_segments) {
-    if (compress::codec_for(env.codec) == nullptr) {
-      resp.status = Status::InvalidArgument("unknown codec in put");
-      co_return encode(resp);
-    }
     // Manifests are provider-local (they index this provider's chunk
     // store); a client can only ever submit inline envelopes.
     if (env.kind != compress::EnvelopeKind::kInline) {
@@ -1207,7 +1185,6 @@ sim::CoTask<Bytes> Provider::handle_replicate(Bytes request,
   for (auto& seg : req.segments) {
     if (segments_.find(seg.key) != segments_.end()) continue;
     compress::CompressedSegment env = std::move(seg.segment);
-    if (compress::codec_for(env.codec) == nullptr) continue;
     if (env.kind == compress::EnvelopeKind::kChunked) {
       // Re-reference chunks already here; store fetched bodies fresh. An
       // unfetchable body makes the segment unservable — skip it whole (a

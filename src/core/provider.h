@@ -194,6 +194,14 @@ class Provider {
     template <class V>
     void fields(V& v) { v(refs, version, segment); }
   };
+  /// One cached idempotent response; persisted as its "tok/<token>" record.
+  struct TokenRecord {
+    uint64_t seq = 0;  // dedup_seq_ at insert: restore rebuilds FIFO order
+    common::Bytes response;
+
+    template <class V>
+    void fields(V& v) { v(seq, response); }
+  };
 
   void register_handlers(net::RpcSystem& rpc);
   // Charge `bytes` through the provider's memory-pool port (no-op when pool

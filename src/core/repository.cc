@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/serde.h"
+#include "common/fields.h"
 
 namespace evostore::core {
 
@@ -18,16 +18,15 @@ constexpr const char* kEpochKey = "repo/epoch";
 uint64_t bump_epoch(storage::KvStore& backend) {
   uint64_t stored = 0;
   auto value = backend.get(kEpochKey);
-  // The record is a dense varint; a synthetic value is corrupt, and reading
-  // it would allocate its full logical size.
+  // The record is one encoded uint64_t; a synthetic value is corrupt, and
+  // reading it would allocate its full logical size.
   if (value.ok() && !value->is_synthetic()) {
     common::Deserializer d(value->dense_span());
-    uint64_t v = d.u64();
+    auto v = common::decode<uint64_t>(d);
     if (d.finish().ok()) stored = v;
   }
-  common::Serializer s;
-  s.u64(stored + 1);
-  (void)backend.put(kEpochKey, common::Buffer::dense(std::move(s).take()));
+  (void)backend.put(kEpochKey,
+                    common::Buffer::dense(common::encode(stored + 1)));
   return stored + 1;
 }
 

@@ -157,43 +157,13 @@ size_t ArchGraph::total_param_bytes(DType dtype) const {
   return total;
 }
 
-void ArchGraph::serialize(common::Serializer& s) const {
-  s.u64(defs_.size());
-  for (const auto& def : defs_) def.serialize(s);
+bool ArchGraph::edges_in_range() const {
   for (const auto& adj : out_) {
-    s.u64(adj.size());
-    for (VertexId v : adj) s.u32(v);
-  }
-}
-
-ArchGraph ArchGraph::deserialize(common::Deserializer& d) {
-  ArchGraph g;
-  uint64_t n = d.u64();
-  if (!d.check_count(n)) return g;
-  g.defs_.reserve(n);
-  for (uint64_t i = 0; i < n && d.ok(); ++i) {
-    g.defs_.push_back(LayerDef::deserialize(d));
-  }
-  if (!d.ok()) return g;
-  g.out_.assign(n, {});
-  for (uint64_t i = 0; i < n && d.ok(); ++i) {
-    uint64_t deg = d.u64();
-    if (!d.check_count(deg)) break;
-    g.out_[i].resize(deg);
-    for (auto& v : g.out_[i]) {
-      v = d.u32();
-      if (v >= n) {
-        // Malformed input: an edge target outside the vertex range must not
-        // reach finalize()'s in-degree accounting.
-        g.out_.clear();
-        g.defs_.clear();
-        (void)d.check_count(UINT64_MAX);  // fail the stream
-        return g;
-      }
+    for (VertexId v : adj) {
+      if (v >= defs_.size()) return false;
     }
   }
-  if (d.ok()) g.finalize();
-  return g;
+  return true;
 }
 
 }  // namespace evostore::model

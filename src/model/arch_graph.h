@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/serde.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "model/architecture.h"
@@ -47,16 +46,32 @@ class ArchGraph {
   /// Identity hash of the whole graph (structure + layer configs).
   const common::Hash128& graph_hash() const { return graph_hash_; }
 
-  void serialize(common::Serializer& s) const;
-  static ArchGraph deserialize(common::Deserializer& d);
+  /// The layer defs, then one adjacency list per vertex (no count of their
+  /// own: there are exactly size() of them). A decoded edge target outside
+  /// the vertex range fails the stream and leaves the graph empty.
+  template <class V>
+  void fields(V& v) {
+    v(defs_);
+    if constexpr (V::kDecoding) out_.assign(defs_.size(), {});
+    for (auto& adj : out_) v(adj);
+    if constexpr (V::kDecoding) {
+      if (edges_in_range()) {
+        finalize();
+      } else {
+        v.corrupt("edge target out of range");
+        *this = ArchGraph();
+      }
+    }
+  }
 
-  /// Construct directly from flat parts (used by deserialization and tests).
+  /// Construct directly from flat parts (JSON import and tests).
   static common::Result<ArchGraph> from_parts(
       std::vector<LayerDef> defs,
       std::vector<std::pair<VertexId, VertexId>> edges);
 
  private:
   void finalize();  // compute sigs, in-degrees, graph hash
+  bool edges_in_range() const;
 
   std::vector<LayerDef> defs_;
   std::vector<common::Hash128> sigs_;

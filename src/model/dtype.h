@@ -17,6 +17,9 @@ enum class DType : uint8_t {
   kI64 = 6,
 };
 
+/// Highest valid DType, for decode range checks (common/fields.h).
+constexpr DType last_enumerator(DType) { return DType::kI64; }
+
 /// Size of one element in bytes.
 size_t dtype_size(DType t);
 

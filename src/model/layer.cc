@@ -166,39 +166,14 @@ std::string LayerDef::to_string() const {
   return out;
 }
 
-void LayerDef::serialize(common::Serializer& s) const {
-  s.u8(static_cast<uint8_t>(kind_));
-  s.str(name_);
-  s.u64(int_params_.size());
-  for (const auto& [k, v] : int_params_) {
-    s.str(k);
-    s.i64(v);
-  }
-  s.u64(float_params_.size());
-  for (const auto& [k, v] : float_params_) {
-    s.str(k);
-    s.f64(v);
-  }
-}
-
-LayerDef LayerDef::deserialize(common::Deserializer& d) {
-  LayerDef def(static_cast<LayerKind>(d.u8()));
-  def.name_ = d.str();
-  uint64_t ni = d.u64();
-  if (!d.ok()) return def;
-  for (uint64_t i = 0; i < ni && d.ok(); ++i) {
-    std::string k = d.str();
-    int64_t v = d.i64();
-    def.set_int(k, v);
-  }
-  uint64_t nf = d.u64();
-  if (!d.ok()) return def;
-  for (uint64_t i = 0; i < nf && d.ok(); ++i) {
-    std::string k = d.str();
-    double v = d.f64();
-    def.set_float(k, v);
-  }
-  return def;
+bool LayerDef::params_canonical() const {
+  auto not_increasing = [](const auto& a, const auto& b) {
+    return a.first >= b.first;
+  };
+  return std::adjacent_find(int_params_.begin(), int_params_.end(),
+                            not_increasing) == int_params_.end() &&
+         std::adjacent_find(float_params_.begin(), float_params_.end(),
+                            not_increasing) == float_params_.end();
 }
 
 LayerDef make_input(int64_t dim) {

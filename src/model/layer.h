@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/serde.h"
 #include "model/tensor.h"
 
 namespace evostore::model {
@@ -34,6 +33,9 @@ enum class LayerKind : uint8_t {
   kFlatten,
   kOutput,
 };
+
+/// Highest valid LayerKind, for decode range checks (common/fields.h).
+constexpr LayerKind last_enumerator(LayerKind) { return LayerKind::kOutput; }
 
 std::string_view layer_kind_name(LayerKind k);
 
@@ -83,10 +85,20 @@ class LayerDef {
 
   std::string to_string() const;
 
-  void serialize(common::Serializer& s) const;
-  static LayerDef deserialize(common::Deserializer& d);
+  /// Decoded hyperparameter keys must be strictly increasing (the order
+  /// set_int/set_float keep), so a decoded def has the same signature() as
+  /// the canonical def it encodes; anything else fails the stream.
+  template <class V>
+  void fields(V& v) {
+    v(kind_, name_, int_params_, float_params_);
+    if constexpr (V::kDecoding) {
+      if (!params_canonical()) v.corrupt("layer params not strictly sorted");
+    }
+  }
 
  private:
+  bool params_canonical() const;
+
   LayerKind kind_ = LayerKind::kInput;
   std::string name_;
   std::vector<std::pair<std::string, int64_t>> int_params_;

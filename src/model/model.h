@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serde.h"
 #include "common/types.h"
 #include "model/arch_graph.h"
 #include "model/tensor.h"
@@ -45,20 +44,8 @@ struct Segment {
     return true;
   }
 
-  void serialize(common::Serializer& s) const {
-    s.u64(tensors.size());
-    for (const auto& t : tensors) t.serialize(s);
-  }
-  static Segment deserialize(common::Deserializer& d) {
-    Segment seg;
-    uint64_t n = d.u64();
-    if (!d.check_count(n)) return seg;
-    seg.tensors.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-      seg.tensors.push_back(Tensor::deserialize(d));
-    }
-    return seg;
-  }
+  template <class V>
+  void fields(V& v) { v(tensors); }
 };
 
 /// A complete model: id + graph + one segment per vertex + quality metric.

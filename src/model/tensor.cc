@@ -21,20 +21,12 @@ std::string TensorSpec::to_string() const {
   return out;
 }
 
-void TensorSpec::serialize(common::Serializer& s) const {
-  s.u8(static_cast<uint8_t>(dtype));
-  s.u64(shape.size());
-  for (int64_t d : shape) s.i64(d);
-}
-
-TensorSpec TensorSpec::deserialize(common::Deserializer& d) {
-  TensorSpec spec;
-  spec.dtype = static_cast<DType>(d.u8());
-  uint64_t n = d.u64();
-  if (!d.check_count(n)) return spec;
-  spec.shape.resize(n);
-  for (auto& dim : spec.shape) dim = d.i64();
-  return spec;
+bool TensorSpec::size_in_range() const {
+  auto bytes = static_cast<int64_t>(dtype_size(dtype));
+  for (int64_t d : shape) {
+    if (d < 0 || __builtin_mul_overflow(bytes, d, &bytes)) return false;
+  }
+  return true;
 }
 
 Tensor Tensor::zeros(TensorSpec spec) {
@@ -45,18 +37,6 @@ Tensor Tensor::zeros(TensorSpec spec) {
 Tensor Tensor::random(TensorSpec spec, uint64_t seed) {
   size_t n = spec.nbytes();
   return Tensor(std::move(spec), common::Buffer::synthetic(n, seed));
-}
-
-void Tensor::serialize(common::Serializer& s) const {
-  spec_.serialize(s);
-  s.buffer(data_);
-}
-
-Tensor Tensor::deserialize(common::Deserializer& d) {
-  TensorSpec spec = TensorSpec::deserialize(d);
-  common::Buffer data = d.buffer();
-  if (!d.ok() || data.size() != spec.nbytes()) return {};
-  return Tensor(std::move(spec), std::move(data));
 }
 
 }  // namespace evostore::model

@@ -13,7 +13,6 @@
 
 #include "common/buffer.h"
 #include "common/hash.h"
-#include "common/serde.h"
 #include "model/dtype.h"
 
 namespace evostore::model {
@@ -39,8 +38,21 @@ struct TensorSpec {
   /// "f32[128,64]"
   std::string to_string() const;
 
-  void serialize(common::Serializer& s) const;
-  static TensorSpec deserialize(common::Deserializer& d);
+  /// True when no dim is negative and the byte size fits in int64_t (so
+  /// elements() and nbytes() cannot overflow). A decoded spec failing it
+  /// fails the stream and is cleared.
+  bool size_in_range() const;
+
+  template <class V>
+  void fields(V& v) {
+    v(dtype, shape);
+    if constexpr (V::kDecoding) {
+      if (!size_in_range()) {
+        v.corrupt("tensor shape out of range");
+        shape.clear();
+      }
+    }
+  }
 };
 
 class Tensor {
@@ -68,8 +80,18 @@ class Tensor {
     return spec_ == other.spec_ && data_.content_equals(other.data_);
   }
 
-  void serialize(common::Serializer& s) const;
-  static Tensor deserialize(common::Deserializer& d);
+  /// A decoded buffer of the wrong size fails the stream; the tensor is
+  /// left empty.
+  template <class V>
+  void fields(V& v) {
+    v(spec_, data_);
+    if constexpr (V::kDecoding) {
+      if (data_.size() != spec_.nbytes()) {
+        v.corrupt("tensor buffer size does not match its spec");
+        *this = Tensor();
+      }
+    }
+  }
 
  private:
   TensorSpec spec_;

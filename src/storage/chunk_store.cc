@@ -1,10 +1,11 @@
 #include "storage/chunk_store.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
-#include "common/serde.h"
+#include "common/fields.h"
 
 namespace evostore::storage {
 
@@ -16,17 +17,10 @@ std::string ChunkStore::record_key(uint64_t seq) {
 
 void ChunkStore::persist(const common::Hash128& digest, const Chunk& chunk) {
   if (backend_ == nullptr) return;
-  // Record layout: digest (hi u64, lo u64), modeled cost, payload bytes.
-  // The digest lives in the value, not the key — a numeric key avoids
-  // parsing 32 hex digits on restore, and record identity does not matter
-  // (restore re-keys by the digest inside).
-  common::Serializer s;
-  s.u64(digest.hi);
-  s.u64(digest.lo);
-  s.u64(chunk.cost);
-  s.bytes(chunk.bytes);
-  (void)backend_->put(record_key(chunk.record_seq),
-                      common::Buffer::dense(std::move(s).take()));
+  (void)backend_->put(
+      record_key(chunk.record_seq),
+      common::Buffer::dense(
+          common::encode(ChunkRecord{digest, chunk.cost, chunk.bytes})));
 }
 
 bool ChunkStore::add_ref(const common::Hash128& digest,
@@ -97,6 +91,16 @@ bool ChunkStore::install(const common::Hash128& digest, common::Bytes bytes,
   physical_bytes_ += cost;
   payload_bytes_ += it->second.bytes.size();
   record_seq_ = std::max(record_seq_, record_seq);
+  return true;
+}
+
+bool ChunkStore::restore_record(const std::string& key,
+                                std::span<const std::byte> value) {
+  common::Deserializer d(value);
+  auto record = common::decode<ChunkRecord>(d);
+  if (!d.finish().ok()) return false;
+  uint64_t seq = std::strtoull(key.c_str() + 6, nullptr, 10);  // "chunk/"
+  install(record.digest, std::move(record.bytes), record.cost, seq);
   return true;
 }
 

@@ -26,12 +26,12 @@
 // they always sum to the envelope's physical_bytes.
 //
 // Persistence: with a backend attached, a newly stored chunk writes one
-// `chunk/<seq>` record (digest + cost + bytes) through to it and the record
-// is erased when the chunk is freed. Reference counts are NOT persisted —
+// `chunk/<seq>` record (a ChunkRecord) through to it and the record is
+// erased when the chunk is freed. Reference counts are NOT persisted —
 // after a crash they are recomputed from the surviving segment manifests
-// (Provider::restore_from_backend installs the records via `install`, then
-// re-references them via `add_ref_existing`, then calls
-// `drop_unreferenced`). Cumulative counters survive restarts, mirroring
+// (Provider::restore_from_backend installs the records via
+// `restore_record`, then re-references them via `add_ref_existing`, then
+// calls `drop_unreferenced`). Cumulative counters survive restarts, mirroring
 // ProviderStats (they model external monitoring).
 #pragma once
 
@@ -59,6 +59,17 @@ struct ChunkStoreStats {
 
   template <class V>
   void fields(V& v) { v(hits, misses, freed, saved_bytes); }
+};
+
+/// The value of a `chunk/<seq>` backend record. The digest lives here, not
+/// in the key: restore re-keys by it, so the key stays a plain number.
+struct ChunkRecord {
+  common::Hash128 digest;
+  uint64_t cost = 0;     // modeled physical footprint
+  common::Bytes bytes;   // payload
+
+  template <class V>
+  void fields(V& v) { v(digest, cost, bytes); }
 };
 
 class ChunkStore {
@@ -106,13 +117,16 @@ class ChunkStore {
   /// Returns false (ignoring the record) on a duplicate digest.
   bool install(const common::Hash128& digest, common::Bytes bytes,
                uint64_t cost, uint64_t record_seq);
+  /// Parse and install the backend record `value` stored under `key`
+  /// ("chunk/<seq>"). Returns false when the record is corrupt.
+  bool restore_record(const std::string& key,
+                      std::span<const std::byte> value);
   /// Erase every chunk still at zero references (and its backend record):
   /// the end-of-restore sweep for records whose manifests did not survive.
   /// Returns the number of chunks dropped.
   size_t drop_unreferenced();
   /// Highest record id observed (install/new-store), for seq continuation.
   uint64_t record_seq() const { return record_seq_; }
-  void set_record_seq(uint64_t seq) { record_seq_ = seq; }
 
   // ---- introspection ----
   size_t chunk_count() const { return chunks_.size(); }

@@ -1,6 +1,8 @@
 #include "storage/h5file.h"
 
-#include "common/serde.h"
+#include <utility>
+
+#include "common/fields.h"
 
 namespace evostore::storage {
 
@@ -9,8 +11,30 @@ using common::Result;
 using common::Status;
 
 namespace {
+
 constexpr uint32_t kMagic = 0x45564835;  // "EVH5"
 constexpr uint32_t kVersion = 1;
+
+struct TocDataset {
+  std::string path;
+  model::TensorSpec spec;
+  uint64_t nbytes = 0;
+
+  template <class V>
+  void fields(V& v) { v(path, spec, nbytes); }
+};
+
+/// Extent 0 of a file image.
+struct Toc {
+  uint32_t magic = kMagic;
+  uint32_t version = kVersion;
+  std::vector<std::pair<std::string, std::string>> attrs;
+  std::vector<TocDataset> datasets;
+
+  template <class V>
+  void fields(V& v) { v(magic, version, attrs, datasets); }
+};
+
 }  // namespace
 
 Status H5Writer::put_dataset(const std::string& path, model::Tensor tensor) {
@@ -28,26 +52,14 @@ void H5Writer::put_attr(const std::string& key, const std::string& value) {
 }
 
 std::vector<Buffer> H5Writer::finish() && {
-  common::Serializer toc;
-  toc.u32(kMagic);
-  toc.u32(kVersion);
-  toc.u64(attrs_.size());
-  for (const auto& [k, v] : attrs_) {
-    toc.str(k);
-    toc.str(v);
-  }
-  toc.u64(datasets_.size());
+  Toc toc;
+  toc.attrs.assign(attrs_.begin(), attrs_.end());
+  std::vector<Buffer> extents(1);  // extents[0], the TOC, is encoded last
   for (const auto& e : datasets_) {
-    toc.str(e.path);
-    e.tensor.spec().serialize(toc);
-    toc.u64(e.tensor.nbytes());
-  }
-  std::vector<Buffer> extents;
-  extents.reserve(1 + datasets_.size());
-  extents.push_back(Buffer::dense(std::move(toc).take()));
-  for (auto& e : datasets_) {
+    toc.datasets.push_back({e.path, e.tensor.spec(), e.tensor.nbytes()});
     extents.push_back(e.tensor.data());
   }
+  extents[0] = Buffer::dense(common::encode(toc));
   return extents;
 }
 
@@ -56,33 +68,25 @@ Result<H5Reader> H5Reader::open(std::vector<Buffer> extents) {
   // The writer always emits a dense TOC; never materialize a synthetic one.
   if (extents[0].is_synthetic()) return Status::Corruption("synthetic TOC");
   common::Deserializer d(extents[0].dense_span());
-  if (d.u32() != kMagic) return Status::Corruption("bad magic");
-  if (d.u32() != kVersion) return Status::Corruption("unsupported version");
-  H5Reader reader;
-  uint64_t n_attrs = d.u64();
-  if (!d.ok()) return Status::Corruption("bad TOC header");
-  for (uint64_t i = 0; i < n_attrs && d.ok(); ++i) {
-    std::string k = d.str();
-    std::string v = d.str();
-    reader.attrs_[k] = v;
-  }
-  uint64_t n_datasets = d.u64();
-  if (!d.ok()) return Status::Corruption("bad dataset directory");
-  if (extents.size() != 1 + n_datasets) {
-    return Status::Corruption("extent count does not match TOC");
-  }
-  for (uint64_t i = 0; i < n_datasets && d.ok(); ++i) {
-    std::string path = d.str();
-    model::TensorSpec spec = model::TensorSpec::deserialize(d);
-    uint64_t nbytes = d.u64();
-    if (!d.ok()) break;
-    if (extents[1 + i].size() != nbytes || spec.nbytes() != nbytes) {
-      return Status::Corruption("dataset '" + path + "' size mismatch");
-    }
-    reader.order_.push_back(path);
-    reader.datasets_[path] = Entry{std::move(spec), extents[1 + i]};
+  auto toc = common::decode<Toc>(d);
+  if (toc.magic != kMagic) return Status::Corruption("bad magic");
+  if (toc.version != kVersion) {
+    return Status::Corruption("unsupported version");
   }
   EVO_RETURN_IF_ERROR(d.finish());
+  if (extents.size() != 1 + toc.datasets.size()) {
+    return Status::Corruption("extent count does not match TOC");
+  }
+  H5Reader reader;
+  for (auto& [k, v] : toc.attrs) reader.attrs_[k] = std::move(v);
+  for (size_t i = 0; i < toc.datasets.size(); ++i) {
+    TocDataset& e = toc.datasets[i];
+    if (extents[1 + i].size() != e.nbytes || e.spec.nbytes() != e.nbytes) {
+      return Status::Corruption("dataset '" + e.path + "' size mismatch");
+    }
+    reader.order_.push_back(e.path);
+    reader.datasets_[e.path] = Entry{std::move(e.spec), extents[1 + i]};
+  }
   return reader;
 }
 

@@ -3,17 +3,29 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/fields.h"
 #include "common/hash.h"
 #include "common/log.h"
-#include "common/serde.h"
 
 namespace evostore::storage {
 
 namespace {
 
-// Record layout: [u32 payload_len][u64 checksum][payload]
-// payload = serde{ u8 tombstone, str key, (buffer value if !tombstone) }
+// Record layout: [u32 payload_len][u64 checksum][payload], where the
+// payload is an encoded LogRecord.
 constexpr size_t kHeaderLen = 4 + 8;
+
+struct LogRecord {
+  bool tombstone = false;
+  std::string key;
+  Buffer value;  // absent iff tombstone
+
+  template <class V>
+  void fields(V& v) {
+    v(tombstone, key);
+    if (!tombstone) v(value);
+  }
+};
 
 void put_u32(unsigned char* p, uint32_t v) { std::memcpy(p, &v, 4); }
 void put_u64(unsigned char* p, uint64_t v) { std::memcpy(p, &v, 8); }
@@ -98,15 +110,8 @@ Status LogKv::load() {
       }
       common::Deserializer d(
           std::span<const std::byte>(reinterpret_cast<const std::byte*>(payload.data()), ok ? plen : 0));
-      bool tombstone = false;
-      std::string key;
-      Buffer value;
-      if (ok) {
-        tombstone = d.boolean();
-        key = d.str();
-        if (!tombstone) value = d.buffer();
-        ok = d.ok();
-      }
+      auto [tombstone, key, value] = common::decode<LogRecord>(d);
+      ok = ok && d.ok();
       if (!ok) {
         std::fclose(f);
         if (last) {
@@ -194,11 +199,8 @@ Status LogKv::roll_segment() {
 
 Status LogKv::append_record(std::string_view key, const Buffer* value,
                             Location* loc) {
-  common::Serializer s;
-  s.boolean(value == nullptr);
-  s.str(key);
-  if (value != nullptr) s.buffer(*value);
-  common::Bytes payload = std::move(s).take();
+  common::Bytes payload = common::encode(LogRecord{
+      value == nullptr, std::string(key), value ? *value : Buffer()});
 
   unsigned char header[kHeaderLen];
   put_u32(header, static_cast<uint32_t>(payload.size()));
@@ -245,13 +247,11 @@ Result<Buffer> LogKv::read_record(const Location& loc,
   }
   common::Deserializer d(std::span<const std::byte>(
       reinterpret_cast<const std::byte*>(record.data() + kHeaderLen), plen));
-  bool tombstone = d.boolean();
-  std::string key = d.str();
-  if (tombstone) return Status::Corruption("tombstone in index");
-  Buffer value = d.buffer();
+  auto rec = common::decode<LogRecord>(d);
+  if (rec.tombstone) return Status::Corruption("tombstone in index");
   if (!d.ok()) return d.status();
-  if (key_out != nullptr) *key_out = std::move(key);
-  return value;
+  if (key_out != nullptr) *key_out = std::move(rec.key);
+  return rec.value;
 }
 
 void LogKv::set_metrics(obs::MetricsRegistry* registry,

@@ -63,6 +63,65 @@ TEST(Hdf5Pfs, StoreLoadRoundTrip) {
   }
 }
 
+std::string hex(std::span<const std::byte> b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte x : b) {
+    auto v = static_cast<unsigned>(x);
+    out += kDigits[v >> 4];
+    out += kDigits[v & 15];
+  }
+  return out;
+}
+
+common::Bytes unhex(const std::string& s) {
+  common::Bytes out;
+  for (size_t i = 0; i + 1 < s.size(); i += 2) {
+    out.push_back(
+        static_cast<std::byte>(std::stoi(s.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// The file's TOC extent, which carries the encoded graph as its `arch`
+// attribute, exactly as older builds wrote it.
+constexpr const char* kPinnedToc =
+    "b590d9aa040102046172636820020000010364696d0800010003046269617302"
+    "02696e08036f75740800010100077175616c69747908302e3530303030300214"
+    "2f6d6f64656c5f776569676874732f76312f74300002080840142f6d6f64656c"
+    "5f776569676874732f76312f743100010810";
+constexpr const char* kPinnedArch =
+    "020000010364696d080001000304626961730202696e08036f75740800010100";
+
+TEST(Hdf5Pfs, PinnedTocAndArchAttribute) {
+  H5Env env(/*with_redis=*/false);
+  auto m = model::Model::random(ModelId::make(1, 7), chain_graph(1, 4), 3);
+  m.set_quality(0.5);
+  ASSERT_TRUE(env.run(env.repo->store(env.client, m, nullptr)).ok());
+  const auto* extents = env.pfs->peek(RedisQueries::weights_path(m.id()));
+  ASSERT_NE(extents, nullptr);
+  EXPECT_EQ(hex((*extents)[0].dense_span()), kPinnedToc);
+  auto reader = storage::H5Reader::open(*extents);
+  ASSERT_TRUE(reader.ok());
+  std::string arch = reader->attr("arch").value();
+  EXPECT_EQ(hex(std::as_bytes(std::span(arch))), kPinnedArch);
+
+  // A file whose TOC an older build wrote loads back into the same model.
+  std::vector<common::Buffer> older = *extents;
+  older[0] = common::Buffer::dense(unhex(kPinnedToc));
+  ASSERT_TRUE(env.run(env.pfs->write(
+                          env.client, RedisQueries::weights_path(m.id()),
+                          std::move(older)))
+                  .ok());
+  auto loaded = env.run(env.repo->load(env.client, m.id()));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->graph().graph_hash(), m.graph().graph_hash());
+  EXPECT_EQ(loaded->quality(), 0.5);
+  for (common::VertexId v = 0; v < m.vertex_count(); ++v) {
+    EXPECT_TRUE(loaded->segment(v).content_equals(m.segment(v))) << v;
+  }
+}
+
 TEST(Hdf5Pfs, LoadMissingModel) {
   H5Env env;
   auto r = env.run(env.repo->load(env.client, ModelId::make(1, 42)));

@@ -118,15 +118,13 @@ TEST(Fuzz, SyntheticSliceDescriptorsRejectOrDecodeBounded) {
 TEST(Fuzz, ArchGraphDecodeRejectsOrRoundTrips) {
   Xoshiro256 rng(2);
   auto graph = core::testing::chain_graph(6, 16, 2);
-  Serializer s;
-  graph.serialize(s);
-  const Bytes valid = s.data();
+  const Bytes valid = common::encode(graph);
 
   int ok_count = 0;
   for (int iter = 0; iter < 2000; ++iter) {
     Bytes mutated = mutate_bytes(valid, rng);
     Deserializer d(mutated);
-    auto g = model::ArchGraph::deserialize(d);
+    auto g = common::decode<model::ArchGraph>(d);
     if (d.finish().ok()) {
       ++ok_count;
       // Whatever decoded must be internally consistent: edges in range.
@@ -275,7 +273,7 @@ TEST(Fuzz, OwnerMapDeserializeBounded) {
   Serializer s;
   s.u64(1ull << 20);  // claims a million entries, provides none
   Deserializer d(s.data());
-  auto m = core::OwnerMap::deserialize(d);
+  auto m = common::decode<core::OwnerMap>(d);
   EXPECT_FALSE(d.ok());
   EXPECT_EQ(m.size(), 0u);
 }
@@ -284,9 +282,73 @@ TEST(Fuzz, SegmentDeserializeGarbageTensorCount) {
   Serializer s;
   s.u64(3);  // three tensors claimed, zero provided
   Deserializer d(s.data());
-  auto seg = model::Segment::deserialize(d);
+  auto seg = common::decode<model::Segment>(d);
   EXPECT_FALSE(d.ok());
   EXPECT_TRUE(seg.tensors.empty() || seg.nbytes() == 0);
+}
+
+Bytes spec_bytes(uint8_t dtype, const std::vector<int64_t>& dims) {
+  Serializer s;
+  s.u8(dtype);
+  s.u64(dims.size());
+  for (int64_t d : dims) s.i64(d);
+  return std::move(s).take();
+}
+
+TEST(Fuzz, TensorSpecRejectsGiantDimsAndBadEnums) {
+  // Negative dims, shapes whose byte size overflows, and enum bytes past
+  // the last enumerator fail the stream. Every accepted spec's nbytes() is
+  // computed here, so the UBSan build checks it cannot overflow.
+  const int64_t giant = int64_t{1} << 40;
+  for (const Bytes& bad :
+       {spec_bytes(0, {giant, giant}), spec_bytes(0, {giant, giant, 0}),
+        spec_bytes(6, {int64_t{1} << 61}), spec_bytes(0, {-1, 4}),
+        spec_bytes(200, {4}), spec_bytes(7, {4})}) {
+    Deserializer d(bad);
+    auto spec = common::decode<model::TensorSpec>(d);
+    EXPECT_EQ(d.status().code(), common::ErrorCode::kCorruption);
+    EXPECT_TRUE(spec.size_in_range());
+  }
+  // The codecs read the same specs: a giant dim is an error status.
+  Serializer raw;
+  raw.u64(1);
+  raw.raw(spec_bytes(0, {giant, giant}));
+  raw.buffer(Buffer::synthetic(16, 1));
+  for (const compress::Codec* codec :
+       {&compress::raw_codec(), &compress::zero_rle_codec()}) {
+    Deserializer d(raw.data());
+    EXPECT_FALSE(codec->decode(d, nullptr, 1 << 20).ok()) << codec->name();
+  }
+
+  Xoshiro256 rng(6);
+  const int64_t magnitudes[] = {0, 1, 7, int64_t{1} << 20, int64_t{1} << 31,
+                                int64_t{1} << 40, int64_t{1} << 62,
+                                std::numeric_limits<int64_t>::max(), -1,
+                                std::numeric_limits<int64_t>::min()};
+  int accepted = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<int64_t> dims(rng.below(4));
+    for (auto& dim : dims) dim = magnitudes[rng.below(std::size(magnitudes))];
+    Bytes bytes = spec_bytes(static_cast<uint8_t>(rng.below(10)), dims);
+    Deserializer d(bytes);
+    auto spec = common::decode<model::TensorSpec>(d);
+    if (!d.finish().ok()) continue;
+    ++accepted;
+    ASSERT_TRUE(spec.size_in_range());
+    ASSERT_LE(spec.nbytes(),
+              static_cast<size_t>(std::numeric_limits<int64_t>::max()));
+  }
+  EXPECT_GT(accepted, 0);
+}
+
+TEST(Fuzz, ArchGraphRejectsOutOfRangeLayerKind) {
+  Bytes bytes = common::encode(core::testing::chain_graph(2, 4));
+  // The vertex count is one byte; the first def's kind follows.
+  bytes[1] = std::byte{99};
+  Deserializer d(bytes);
+  (void)common::decode<model::ArchGraph>(d);
+  EXPECT_EQ(d.status().code(), common::ErrorCode::kCorruption);
+  EXPECT_EQ(d.status().message(), "enum value 99 out of range");
 }
 
 TEST(Fuzz, CompressedSegmentSurvivesMutation) {
@@ -316,14 +378,12 @@ TEST(Fuzz, CompressedSegmentSurvivesMutation) {
         compress::CodecId::kDeltaVsAncestor}) {
     auto env = compress::compress_segment(child, codec, &base, &base_key);
     ASSERT_TRUE(env.ok());
-    Serializer s;
-    env->serialize(s);
-    const Bytes valid = s.data();
+    const Bytes valid = common::encode(*env);
 
     // Untouched envelope round-trips through serde + decode.
     {
       Deserializer d(valid);
-      auto out = compress::CompressedSegment::deserialize(d);
+      auto out = common::decode<compress::CompressedSegment>(d);
       ASSERT_TRUE(d.finish().ok());
       auto seg = compress::decompress_segment(out, &base);
       ASSERT_TRUE(seg.ok()) << seg.status().to_string();
@@ -332,7 +392,7 @@ TEST(Fuzz, CompressedSegmentSurvivesMutation) {
     for (int iter = 0; iter < 2000; ++iter) {
       Bytes mutated = mutate_bytes(valid, rng);
       Deserializer d(mutated);
-      auto out = compress::CompressedSegment::deserialize(d);
+      auto out = common::decode<compress::CompressedSegment>(d);
       if (!d.finish().ok()) continue;
       // Decodable framing: the codec layer must still verify content.
       auto seg = compress::decompress_segment(out, &base);

@@ -2,6 +2,7 @@
 // policy, envelope serde, and the client-side stats counters.
 #include <gtest/gtest.h>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "compress/compressed_segment.h"
 #include "compress/zero_rle.h"
@@ -55,11 +56,9 @@ const common::SegmentKey kBaseKey{common::ModelId::make(1, 7), 3};
 
 // Serialize + deserialize the envelope (as the wire does), then decompress.
 Segment round_trip(const CompressedSegment& env, const Segment* base) {
-  common::Serializer s;
-  env.serialize(s);
-  common::Bytes bytes = std::move(s).take();
+  common::Bytes bytes = common::encode(env);
   common::Deserializer d{std::span<const std::byte>(bytes)};
-  CompressedSegment back = CompressedSegment::deserialize(d);
+  auto back = common::decode<CompressedSegment>(d);
   EXPECT_TRUE(d.finish().ok());
   EXPECT_EQ(back, env);
   auto seg = decompress_segment(back, base);

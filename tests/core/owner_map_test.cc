@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fields.h"
+
 namespace evostore::core {
 namespace {
 
@@ -104,10 +106,9 @@ TEST(OwnerMap, SerdeRoundTrip) {
   OwnerMap map = OwnerMap::self_owned(ModelId::make(2, 9), 6);
   map.set_entry(2, {a, 4});
   map.set_entry(5, {a, 0});
-  common::Serializer s;
-  map.serialize(s);
-  common::Deserializer d(s.data());
-  OwnerMap out = OwnerMap::deserialize(d);
+  common::Bytes bytes = common::encode(map);
+  common::Deserializer d(bytes);
+  auto out = common::decode<OwnerMap>(d);
   EXPECT_TRUE(d.finish().ok());
   EXPECT_EQ(out, map);
 }

@@ -1,12 +1,15 @@
 // Pinned wire and KV-record encodings: one populated instance of every
-// wire message, plus the provider's persisted meta/ and seg/ records, must
-// encode to exactly the bytes recorded here. A codec refactor that changes
-// any of them changes simulated wire sizes (and so timings), or strands KV
-// files written by an older build; both must be deliberate.
+// wire message, the segment payloads of every codec, and every record the
+// provider and repository persist (meta/, seg/, chunk/, tok/, pin/,
+// repo/epoch) must encode to exactly the bytes recorded here. A codec
+// refactor that changes any of them changes simulated wire sizes (and so
+// timings), or strands KV files written by an older build; both must be
+// deliberate.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "compress/codec.h"
 #include "core/provider.h"
 #include "core/wire.h"
 #include "net/fabric.h"
@@ -308,6 +311,59 @@ TEST(Wire, PinnedEncodings) {
   }
 }
 
+// One dense, one synthetic and one zero tensor: every per-tensor record
+// kind of the three codecs appears below.
+model::Segment pinned_segment() {
+  Bytes dense(16);
+  for (size_t i = 0; i < dense.size(); ++i) dense[i] = std::byte(i + 1);
+  model::Segment seg;
+  seg.tensors.emplace_back(model::TensorSpec{{2, 2}, model::DType::kF32},
+                           common::Buffer::dense(dense));
+  seg.tensors.push_back(
+      model::Tensor::random({{3}, model::DType::kF16}, 7));
+  seg.tensors.push_back(model::Tensor::zeros({{8}, model::DType::kI8}));
+  return seg;
+}
+
+// Delta base: slot 0 differs in two bytes (diff record), slot 1 is the same
+// stream (same record), slot 2 has another spec (raw record).
+model::Segment pinned_base() {
+  model::Segment base = pinned_segment();
+  Bytes dense(16);
+  for (size_t i = 0; i < dense.size(); ++i) dense[i] = std::byte(i + 1);
+  dense[3] = std::byte{0x40};
+  dense[9] = std::byte{0x00};
+  base.tensors[0] = model::Tensor(base.tensors[0].spec(),
+                                  common::Buffer::dense(dense));
+  base.tensors[2] = model::Tensor::zeros({{4}, model::DType::kI8});
+  return base;
+}
+
+std::string codec_payload(const compress::Codec& codec,
+                          const model::Segment* base) {
+  common::Serializer s;
+  EXPECT_TRUE(codec.encode(pinned_segment(), base, s).ok()) << codec.name();
+  return hex(s.data());
+}
+
+TEST(Wire, PinnedSegmentPayloads) {
+  model::Segment base = pinned_base();
+  const Pin pins[] = {
+      {"raw", codec_payload(compress::raw_codec(), nullptr),
+       "030002040400100102030405060708090a0b0c0d0e0f10020106010706040110"
+       "00080000000000000000"},
+      {"zero-rle", codec_payload(compress::zero_rle_codec(), nullptr),
+       "03000204040000100102030405060708090a0b0c0d0e0f100201060001070604"
+       "011001020008"},
+      {"delta-vs-ancestor", codec_payload(compress::delta_codec(), &base),
+       "03000204040208000301c405010a060201060004011001000800000000000000"
+       "00"},
+  };
+  for (const Pin& p : pins) {
+    EXPECT_EQ(p.actual, p.expected) << p.name;
+  }
+}
+
 // A single-provider deployment over an in-memory backend, driven by raw
 // RPCs so the persisted records depend on nothing but the request.
 struct BackedProvider {
@@ -320,8 +376,12 @@ struct BackedProvider {
   std::unique_ptr<Provider> provider;
 
   BackedProvider() { boot(); }
-  void boot() {
-    provider = std::make_unique<Provider>(rpc, node, 0, ProviderConfig{}, &kv);
+  void boot(ProviderConfig config = {}) {
+    provider = std::make_unique<Provider>(rpc, node, 0, config, &kv);
+  }
+  common::Result<Bytes> call(const char* method, Bytes request) {
+    return sim.run_until_complete(
+        rpc.call(worker, node, method, std::move(request)));
   }
 };
 
@@ -358,8 +418,7 @@ std::string record_key(const char* tag) {
 
 TEST(Wire, PinnedKvRecords) {
   BackedProvider env;
-  auto resp = env.sim.run_until_complete(env.rpc.call(
-      env.worker, env.node, Provider::kPutModel, common::encode(pinned_put())));
+  auto resp = env.call(Provider::kPutModel, common::encode(pinned_put()));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(env.kv.size(), std::size(kPinnedRecords));
   for (const auto& [tag, expected] : kPinnedRecords) {
@@ -369,6 +428,101 @@ TEST(Wire, PinnedKvRecords) {
   }
 }
 
+// A put whose 48-byte payload splits into chunks under simulation-scale
+// chunking, then a tokened, pinned reference on that segment: the backend
+// then holds chunk/, tok/ and pin/ records besides meta/ and seg/.
+constexpr uint64_t kPinEpoch = 5;
+constexpr uint64_t kRefToken = (kPinEpoch << 48) | 0x21;
+const ModelId kChunkedId = ModelId::make(2, 1);
+
+PutModelRequest chunked_put() {
+  PutModelRequest put;
+  put.id = kChunkedId;
+  put.quality = 0.25;
+  put.graph = testing::chain_graph(1, 4);
+  put.owners = OwnerMap::self_owned(kChunkedId, 2);
+  CompressedSegment env;
+  env.logical_bytes = 48;
+  env.physical_bytes = 48;
+  for (int i = 0; i < 48; ++i) env.payload.push_back(std::byte(i * 37 + 11));
+  put.new_segments.emplace_back(0, env);
+  put.new_segments.emplace_back(1, inline_env());
+  return put;
+}
+
+ModifyRefsRequest pinned_ref() {
+  ModifyRefsRequest req;
+  req.keys = {{kChunkedId, 0}};
+  req.increment = true;
+  req.token = kRefToken;
+  req.pin_epoch = kPinEpoch;
+  return req;
+}
+
+const std::pair<const char*, const char*> kPinnedChunkedRecords[] = {
+    {"chunk/1",
+     "ecb095ae969490d00a8bdfa095cb9ad094c1010e0e0b30557a9fc4e90e33587d"
+     "a2c7ec"},
+    {"chunk/2",
+     "bef4b9f2c6cacea747f285dbb784dabbce5f0a0a11365b80a5caef14395e"},
+    {"chunk/3",
+     "eeb7d88ee1fed7bd35f9e9faa3a6d2a3ed78090983a8cdf2173c6186ab"},
+    {"chunk/4",
+     "8ad3b4879cffcc9e6b97f3e49cebc2f880e8010b0bd0f51a3f6489aed3f81d42"},
+    {"chunk/5",
+     "b8f499e0dae8eebf62de9adbe0a386e5ce2f0404678cb1d6"},
+    {"meta/8589934593",
+     "020000010364696d080001000304626961730202696e08036f75740800010100"
+     "02818080802000818080802001000000000000d03f00316b81291169d03e01"},
+    {"pin/5/8589934593/0",
+     "01"},
+    {"seg/8589934593/0",
+     "0401010030300005ecb095ae969490d00a8bdfa095cb9ad094c1010ebef4b9f2"
+     "c6cacea747f285dbb784dabbce5f0aeeb7d88ee1fed7bd35f9e9faa3a6d2a3ed"
+     "78098ad3b4879cffcc9e6b97f3e49cebc2f880e8010bb8f499e0dae8eebf62de"
+     "9adbe0a386e5ce2f04"},
+    {"seg/8589934593/1",
+     "02010001ac02040004deadbeef"},
+    {"tok/1407374883553313",
+     "0106000000000000"},
+};
+
+TEST(Wire, PinnedChunkTokenPinRecords) {
+  BackedProvider env;
+  ProviderConfig config;
+  config.chunker = {8, 16, 32};
+  env.boot(config);
+  ASSERT_TRUE(
+      env.call(Provider::kPutModel, common::encode(chunked_put())).ok());
+  ASSERT_TRUE(
+      env.call(Provider::kModifyRefs, common::encode(pinned_ref())).ok());
+  EXPECT_EQ(env.kv.size(), std::size(kPinnedChunkedRecords));
+  for (const auto& [key, expected] : kPinnedChunkedRecords) {
+    auto value = env.kv.get(key);
+    ASSERT_TRUE(value.ok()) << key;
+    EXPECT_EQ(hex(value->dense_span()), expected) << key;
+  }
+}
+
+TEST(Wire, PinnedRepositoryEpoch) {
+  // Each repository incarnation over a backend bumps the persisted epoch,
+  // whether the backend is fresh or holds an older build's record (255).
+  auto incarnate = [](storage::MemKv& kv) {
+    sim::Simulation sim;
+    net::Fabric fabric{sim};
+    net::RpcSystem rpc{fabric};
+    std::vector<common::NodeId> nodes{fabric.add_node(25e9, 25e9)};
+    EvoStoreRepository repo(rpc, nodes, ProviderConfig{}, {&kv});
+    return hex(kv.get("repo/epoch")->dense_span());
+  };
+  storage::MemKv fresh;
+  EXPECT_EQ(incarnate(fresh), "01");
+  storage::MemKv older;
+  ASSERT_TRUE(
+      older.put("repo/epoch", common::Buffer::dense(unhex("ff01"))).ok());
+  EXPECT_EQ(incarnate(older), "8002");
+}
+
 TEST(Wire, PinnedKvRecordsRestore) {
   // Records exactly as an older build wrote them restore into a provider.
   BackedProvider env;
@@ -376,6 +530,11 @@ TEST(Wire, PinnedKvRecordsRestore) {
     ASSERT_TRUE(
         env.kv.put(record_key(tag), common::Buffer::dense(unhex(expected)))
             .ok());
+  }
+  size_t chunk_records = 0;
+  for (const auto& [key, expected] : kPinnedChunkedRecords) {
+    ASSERT_TRUE(env.kv.put(key, common::Buffer::dense(unhex(expected))).ok());
+    if (std::string(key).rfind("chunk/", 0) == 0) ++chunk_records;
   }
   env.boot();
   const ModelId id = ModelId::make(1, 2);
@@ -389,6 +548,26 @@ TEST(Wire, PinnedKvRecordsRestore) {
     EXPECT_EQ(*env.provider->segment_envelope(key),
               v == 1 ? inline_env() : delta_env());
   }
+  // chunk/: every manifest chunk is back; pin/: the ledger entry survives;
+  // tok/: a retry of the tokened reference replays instead of re-applying.
+  ASSERT_TRUE(env.provider->has_model(kChunkedId));
+  const SegmentKey chunked{kChunkedId, 0};
+  EXPECT_EQ(env.provider->refcount(chunked), 2);
+  EXPECT_EQ(env.provider->pinned_count(chunked), 1u);
+  const CompressedSegment* env0 = env.provider->segment_envelope(chunked);
+  ASSERT_NE(env0, nullptr);
+  ASSERT_EQ(env0->kind, compress::EnvelopeKind::kChunked);
+  EXPECT_GT(chunk_records, 1u);
+  EXPECT_EQ(env.provider->chunk_store().chunk_count(), chunk_records);
+  for (const compress::ChunkRef& c : env0->chunks) {
+    const auto* chunk = env.provider->chunk_store().find(c.digest);
+    ASSERT_NE(chunk, nullptr);
+    EXPECT_EQ(chunk->bytes.size(), c.bytes);
+  }
+  auto replay = env.call(Provider::kModifyRefs, common::encode(pinned_ref()));
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(env.provider->stats().deduped_replays, 1u);
+  EXPECT_EQ(env.provider->refcount(chunked), 2);
 }
 
 }  // namespace

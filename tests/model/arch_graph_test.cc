@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/fields.h"
+
 namespace evostore::model {
 namespace {
 
@@ -168,10 +170,9 @@ TEST(ArchGraph, SerdeRoundTrip) {
   arch.connect(add, out);
 
   auto g = flatten_ok(arch);
-  common::Serializer ser;
-  g.serialize(ser);
-  common::Deserializer d(ser.data());
-  ArchGraph out_g = ArchGraph::deserialize(d);
+  common::Bytes bytes = common::encode(g);
+  common::Deserializer d(bytes);
+  auto out_g = common::decode<ArchGraph>(d);
   EXPECT_TRUE(d.finish().ok());
   EXPECT_EQ(out_g.graph_hash(), g.graph_hash());
   EXPECT_EQ(out_g.size(), g.size());

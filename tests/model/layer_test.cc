@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fields.h"
+
 namespace evostore::model {
 namespace {
 
@@ -118,15 +120,57 @@ TEST(LayerDef, SerdeRoundTrip) {
   LayerDef def = make_attention(128, 16);
   def.set_name("attn_0");
   def.set_float("temperature", 0.9);
-  common::Serializer s;
-  def.serialize(s);
-  common::Deserializer d(s.data());
-  LayerDef out = LayerDef::deserialize(d);
+  common::Bytes bytes = common::encode(def);
+  common::Deserializer d(bytes);
+  LayerDef out = common::decode<LayerDef>(d);
   EXPECT_TRUE(d.finish().ok());
   EXPECT_EQ(out.kind(), LayerKind::kAttention);
   EXPECT_EQ(out.name(), "attn_0");
   EXPECT_EQ(out.signature(), def.signature());
   EXPECT_DOUBLE_EQ(out.get_float("temperature"), 0.9);
+}
+
+using Ints = std::vector<std::pair<std::string, int64_t>>;
+
+// kind, name, int params, float params, as the encoder lays them out.
+common::Bytes def_bytes(uint8_t kind, const Ints& ints) {
+  common::Serializer s;
+  s.u8(kind);
+  s.str("");
+  s.u64(ints.size());
+  for (const auto& [k, v] : ints) {
+    s.str(k);
+    s.i64(v);
+  }
+  s.u64(0);
+  return std::move(s).take();
+}
+
+TEST(LayerDef, DecodeRejectsOutOfRangeKind) {
+  common::Bytes canonical = def_bytes(13, {{"dim", 4}});
+  EXPECT_EQ(canonical, common::encode(LayerDef(LayerKind::kOutput)
+                                          .set_int("dim", 4)));
+  common::Deserializer ok(canonical);
+  (void)common::decode<LayerDef>(ok);
+  EXPECT_TRUE(ok.finish().ok());
+  for (uint8_t kind : {14, 99}) {
+    common::Bytes bytes = def_bytes(kind, {{"dim", 4}});
+    common::Deserializer d(bytes);
+    (void)common::decode<LayerDef>(d);
+    EXPECT_FALSE(d.ok()) << int{kind};
+  }
+}
+
+TEST(LayerDef, DecodeRejectsUnsortedOrDuplicateParams) {
+  // Decoding must not re-sort: a def whose keys arrive out of order is not
+  // the canonical def its signature would otherwise claim to be.
+  for (const Ints& ints : {Ints{{"out", 2}, {"in", 4}},
+                           Ints{{"in", 4}, {"in", 5}}}) {
+    common::Bytes bytes = def_bytes(1, ints);
+    common::Deserializer d(bytes);
+    (void)common::decode<LayerDef>(d);
+    EXPECT_EQ(d.status().code(), common::ErrorCode::kCorruption);
+  }
 }
 
 TEST(LayerDef, ToStringIsInformative) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fields.h"
+
 namespace evostore::model {
 namespace {
 
@@ -44,10 +46,9 @@ TEST(Segment, SerdeRoundTrip) {
   Segment seg;
   seg.tensors.push_back(Tensor::random({{8, 8}, DType::kF32}, 3));
   seg.tensors.push_back(Tensor::random({{8}, DType::kF32}, 4));
-  common::Serializer s;
-  seg.serialize(s);
-  common::Deserializer d(s.data());
-  Segment out = Segment::deserialize(d);
+  common::Bytes bytes = common::encode(seg);
+  common::Deserializer d(bytes);
+  auto out = common::decode<Segment>(d);
   EXPECT_TRUE(d.finish().ok());
   EXPECT_TRUE(out.content_equals(seg));
 }

@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fields.h"
+
 namespace evostore::model {
 namespace {
+
+common::Bytes spec_bytes(uint8_t dtype, const std::vector<int64_t>& dims) {
+  common::Serializer s;
+  s.u8(dtype);
+  s.u64(dims.size());
+  for (int64_t d : dims) s.i64(d);
+  return std::move(s).take();
+}
 
 TEST(DType, SizesAndNames) {
   EXPECT_EQ(dtype_size(DType::kF32), 4u);
@@ -44,11 +54,49 @@ TEST(TensorSpec, SignatureDistinguishesShapeAndDtype) {
 
 TEST(TensorSpec, SerdeRoundTrip) {
   TensorSpec s{{7, 1, 9}, DType::kI64};
-  common::Serializer ser;
-  s.serialize(ser);
-  common::Deserializer d(ser.data());
-  EXPECT_EQ(TensorSpec::deserialize(d), s);
+  common::Bytes bytes = common::encode(s);
+  EXPECT_EQ(bytes, spec_bytes(6, {7, 1, 9}));
+  common::Deserializer d(bytes);
+  EXPECT_EQ(common::decode<TensorSpec>(d), s);
   EXPECT_TRUE(d.finish().ok());
+}
+
+TEST(TensorSpec, DecodeRejectsOutOfRangeDType) {
+  for (uint8_t dtype : {7, 200}) {
+    common::Bytes bytes = spec_bytes(dtype, {4});
+    common::Deserializer d(bytes);
+    (void)common::decode<TensorSpec>(d);
+    EXPECT_FALSE(d.ok()) << int{dtype};
+  }
+}
+
+TEST(TensorSpec, DecodeRejectsNegativeAndOverflowingDims) {
+  // {2^40, 2^40} overflows the element count; {2^61} of i64 overflows the
+  // byte size; {2^40, 2^40, 0} overflows before the zero dim is reached.
+  const int64_t giant = int64_t{1} << 40;
+  for (const auto& [dtype, dims] :
+       std::vector<std::pair<uint8_t, std::vector<int64_t>>>{
+           {0, {giant, giant}},
+           {6, {int64_t{1} << 61}},
+           {0, {giant, giant, 0}},
+           {0, {-1, 4}},
+           {0, {4, -4}}}) {
+    common::Bytes bytes = spec_bytes(dtype, dims);
+    common::Deserializer d(bytes);
+    TensorSpec spec = common::decode<TensorSpec>(d);
+    EXPECT_FALSE(d.ok());
+    EXPECT_TRUE(spec.shape.empty());
+  }
+  // The largest sizes that fit still decode.
+  for (const auto& dims : std::vector<std::vector<int64_t>>{
+           {int64_t{1} << 30, int64_t{1} << 30, 0}, {0, giant, giant},
+           {int64_t{1} << 60}}) {
+    common::Bytes bytes = spec_bytes(0, dims);
+    common::Deserializer d(bytes);
+    TensorSpec spec = common::decode<TensorSpec>(d);
+    EXPECT_TRUE(d.finish().ok());
+    EXPECT_EQ(spec.shape, dims);
+  }
 }
 
 TEST(Tensor, ZerosHaveRightSizeAndContent) {
@@ -82,10 +130,9 @@ TEST(Tensor, ContentEqualsChecksSpecToo) {
 
 TEST(Tensor, SerdeRoundTripSynthetic) {
   Tensor t = Tensor::random({{32, 2}, DType::kF16}, 42);
-  common::Serializer s;
-  t.serialize(s);
-  common::Deserializer d(s.data());
-  Tensor out = Tensor::deserialize(d);
+  common::Bytes bytes = common::encode(t);
+  common::Deserializer d(bytes);
+  Tensor out = common::decode<Tensor>(d);
   EXPECT_TRUE(d.finish().ok());
   EXPECT_TRUE(out.content_equals(t));
   EXPECT_TRUE(out.data().is_synthetic());
@@ -94,20 +141,20 @@ TEST(Tensor, SerdeRoundTripSynthetic) {
 TEST(Tensor, SerdeRoundTripDense) {
   Tensor t(TensorSpec{{3}, DType::kI32},
            common::Buffer::dense(common::Bytes(12, std::byte{0xab})));
-  common::Serializer s;
-  t.serialize(s);
-  common::Deserializer d(s.data());
-  Tensor out = Tensor::deserialize(d);
+  common::Bytes bytes = common::encode(t);
+  common::Deserializer d(bytes);
+  Tensor out = common::decode<Tensor>(d);
   EXPECT_TRUE(out.content_equals(t));
 }
 
 TEST(Tensor, DeserializeSizeMismatchYieldsEmpty) {
   common::Serializer s;
-  TensorSpec{{10}, DType::kF32}.serialize(s);
+  common::encode_to(s, TensorSpec{{10}, DType::kF32});
   s.buffer(common::Buffer::zeros(3));  // wrong payload size
   common::Deserializer d(s.data());
-  Tensor out = Tensor::deserialize(d);
+  Tensor out = common::decode<Tensor>(d);
   EXPECT_EQ(out.nbytes(), 0u);
+  EXPECT_FALSE(d.ok());
 }
 
 }  // namespace

@@ -141,21 +141,21 @@ TEST(Rpc, NegativeTimeoutDisablesDefaultDeadline) {
   EXPECT_TRUE(env.sim.run_until_complete(task()));
 }
 
+struct Probe {
+  uint64_t n = 1;
+  std::string s;
+  template <class V>
+  void fields(V& v) { v(n, s); }
+};
+
 TEST(Rpc, TypedCallAnnotatesMalformedResponse) {
   Env env;
   env.rpc.register_handler(env.b, "meta", [](Bytes) -> CoTask<Bytes> {
     co_return Bytes{0x01};  // too short for any real response struct
   });
-  struct Probe {
-    void serialize(Serializer& s) const { s.u32(1); }
-    static Probe deserialize(Deserializer& d) {
-      d.u64();
-      d.str();
-      return {};
-    }
-  };
   auto task = [&]() -> CoTask<common::Status> {
-    auto r = co_await typed_call<Probe>(&env.rpc, env.a, env.b, "meta", Probe{});
+    Probe probe;
+    auto r = co_await typed_call<Probe>(&env.rpc, env.a, env.b, "meta", probe);
     co_return r.status();
   };
   auto st = env.sim.run_until_complete(task());

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 namespace evostore::storage {
 namespace {
@@ -217,6 +218,51 @@ TEST_F(LogKvTest, CorruptPayloadDetectedByChecksum) {
   // Single (= last) segment: recovery truncates the corrupt tail.
   auto kv = open();
   EXPECT_FALSE(kv->contains("x"));
+}
+
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+// A dense put, a synthetic put and a tombstone, exactly as older builds
+// wrote them: [u32 len][u64 checksum][tombstone, key, value].
+constexpr const char* kPinnedLog =
+    "08000000c138d76a2f0ff0c900016b000361626306000000c152b8423a640311"
+    "00017301094003000000d68d36764dd824bf01016b";
+
+TEST_F(LogKvTest, PinnedRecordBytes) {
+  const auto segment = dir_ / "00000001.evl";
+  {
+    auto kv = open();
+    ASSERT_TRUE(kv->put("k", value_of("abc")).ok());
+    ASSERT_TRUE(kv->put("s", Buffer::synthetic(64, 9)).ok());
+    ASSERT_TRUE(kv->erase("k").ok());
+  }
+  std::ifstream in(segment, std::ios::binary);
+  std::string written((std::istreambuf_iterator<char>(in)), {});
+  EXPECT_EQ(hex(written), kPinnedLog);
+
+  // The pinned log replays into the same contents.
+  std::filesystem::remove_all(dir_);
+  std::filesystem::create_directories(dir_);
+  {
+    std::ofstream out(segment, std::ios::binary);
+    const std::string h = kPinnedLog;
+    for (size_t i = 0; i + 1 < h.size(); i += 2) {
+      out.put(static_cast<char>(std::stoi(h.substr(i, 2), nullptr, 16)));
+    }
+  }
+  auto kv = open();
+  EXPECT_FALSE(kv->contains("k"));
+  auto s = kv->get("s");
+  ASSERT_TRUE(s.ok());
+  EXPECT_TRUE(s->content_equals(Buffer::synthetic(64, 9)));
 }
 
 TEST_F(LogKvTest, KeysSorted) {
