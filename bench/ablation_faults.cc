@@ -37,9 +37,6 @@
 // Flags: --gpus N        worker count            (default 128)
 //        --candidates N  NAS candidate budget    (default 400)
 //        --seed S        NAS + fault seed        (default 42)
-//        --cache-mb N    per-client segment cache (0 = off). The cache must
-//                        not change completion, the drain-to-zero end state,
-//                        or --verify reproducibility — only wire traffic.
 //        --replication K replica count override (0 = library default; 1
 //                        restores the paper's single-owner placement — the
 //                        replication legs above require K >= 2)
@@ -64,6 +61,9 @@
 //                            prints exactly what an untraced run prints.
 #include <cinttypes>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/nas_bench.h"
 #include "common/hash.h"
@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
   size_t candidates = static_cast<size_t>(
       bench::arg_int(argc, argv, "--candidates", 400));
   uint64_t seed = static_cast<uint64_t>(bench::arg_int(argc, argv, "--seed", 42));
-  int cache_mb = bench::arg_int(argc, argv, "--cache-mb", 0);
   size_t replication = static_cast<size_t>(
       bench::arg_int(argc, argv, "--replication", 0));
   bool leg_kill = bench::arg_flag(argc, argv, "--kill-one-forever");
@@ -137,16 +136,12 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Fault ablation",
       "NAS completion under provider crashes, drops, retries, recovery");
-  std::printf("%d GPUs, %zu candidates, seed %" PRIu64 ", cache %d MB%s\n\n",
-              gpus, candidates, seed, cache_mb,
+  std::printf("%d GPUs, %zu candidates, seed %" PRIu64 "%s\n\n", gpus,
+              candidates, seed,
               verify ? " — VERIFY MODE (each config run twice)" : "");
-
-  cache::CacheConfig cache_cfg;
-  cache_cfg.capacity_bytes = static_cast<uint64_t>(cache_mb) << 20;
 
   // Fault-free reference: same workload, no injector at all.
   bench::RunOptions baseline_opts;
-  baseline_opts.cache = cache_cfg;
   baseline_opts.replication = replication;
   auto baseline = bench::run_nas_approach(Approach::kEvoStore, gpus,
                                           candidates, seed, baseline_opts);
@@ -162,13 +157,20 @@ int main(int argc, char** argv) {
   };
 
   bool all_ok = true;
+  // Every fault run ends with a post-run drain; the checks block reports
+  // what each one measured.
+  size_t drained_runs = 0;
+  std::vector<std::pair<std::string, bench::FaultOutcome>> leaks;
+  auto note_drain = [&](const char* label, const bench::NasOutcome& out) {
+    ++drained_runs;
+    if (!out.fault.drained_to_zero) leaks.emplace_back(label, out.fault);
+  };
   if (!legs_only) {
     std::printf("%-22s %10s %8s %8s %9s %8s %8s %7s %7s\n", "config",
                 "makespan", "slowdown", "crashes", "restarts", "retries",
                 "replays", "partial", "drain");
     for (const Row& row : rows) {
       bench::RunOptions opts;
-      opts.cache = cache_cfg;
       opts.replication = replication;
       opts.fault_seed = seed;
       opts.fault_mtbf = row.mtbf;
@@ -193,6 +195,7 @@ int main(int argc, char** argv) {
         }
       }
       all_ok = all_ok && row_ok;
+      note_drain(row.label, out);
       std::printf("%-22s %9.1fs %7.2fx %8" PRIu64 " %9" PRIu64 " %8" PRIu64
                   " %8" PRIu64 " %7" PRIu64 " %7s\n",
                   row.label, out.result.makespan,
@@ -246,7 +249,6 @@ int main(int argc, char** argv) {
   }
   if (leg_kill) {
     bench::RunOptions opts;
-    opts.cache = cache_cfg;
     opts.replication = replication;
     opts.fault_seed = seed;
     opts.fault_crash_providers = 0;  // only the orchestrated permanent kill
@@ -265,11 +267,11 @@ int main(int argc, char** argv) {
               out.result.traces.size() == baseline.result.traces.size() &&
               reproducible(opts, out);
     print_leg("kill-one-forever", out, ok);
+    note_drain("kill-one-forever", out);
     all_ok = all_ok && ok;
   }
   if (leg_drain) {
     bench::RunOptions opts;
-    opts.cache = cache_cfg;
     opts.replication = replication;
     opts.fault_seed = seed;
     opts.fault_crash_providers = 0;
@@ -287,6 +289,7 @@ int main(int argc, char** argv) {
               out.result.traces.size() == baseline.result.traces.size() &&
               reproducible(opts, out);
     print_leg("drain", out, ok);
+    note_drain("drain", out);
     all_ok = all_ok && ok;
   }
   if (leg_partition) {
@@ -295,7 +298,6 @@ int main(int argc, char** argv) {
     // INSIDE the window, so the hinted-handoff replay it triggers is held by
     // the partition and re-delivered in seeded reordered order at the heal.
     bench::RunOptions opts;
-    opts.cache = cache_cfg;
     opts.replication = replication;
     opts.fault_seed = seed;
     opts.fault_crash_providers = 0;
@@ -312,6 +314,7 @@ int main(int argc, char** argv) {
               out.result.traces.size() == baseline.result.traces.size() &&
               reproducible(opts, out);
     print_leg("partition+handoff", out, ok);
+    note_drain("partition+handoff", out);
     all_ok = all_ok && ok;
   }
 
@@ -320,8 +323,17 @@ int main(int argc, char** argv) {
     std::printf("  - every fault config completed all %zu candidates\n",
                 baseline.result.traces.size());
   }
-  std::printf("  - post-run drain (retire survivors) reached the fault-free "
-              "end state: zero models / segments / bytes\n");
+  if (drained_runs > 0 && leaks.empty()) {
+    std::printf("  - post-run drain (retire survivors) reached the fault-free "
+                "end state in all %zu runs: zero models / segments / bytes\n",
+                drained_runs);
+  }
+  for (const auto& [label, f] : leaks) {
+    std::printf("  - LEAK after the post-run drain in %s: end_models %zu, "
+                "end_segments %zu, end_logical_bytes %zu\n",
+                label.c_str(), f.end_models, f.end_segments,
+                f.end_logical_bytes);
+  }
   if (leg_kill) {
     std::printf("  - kill-one-forever: wiped provider rebuilt from replica "
                 "peers; full k-way replication restored; read-back "

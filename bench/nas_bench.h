@@ -96,11 +96,6 @@ struct RunOptions {
   double finetune_update_fraction = 0.25;
   /// Codec EvoStore clients apply to self-owned segments.
   compress::CodecId put_codec = compress::CodecId::kRaw;
-  /// Client-side cooperative segment cache (EvoStore only; DESIGN.md §14).
-  /// The default (capacity 0) keeps every run byte-identical to a cacheless
-  /// deployment; fault harnesses enable it to prove the cached read path
-  /// replays deterministically and never perturbs the drain-to-zero check.
-  cache::CacheConfig cache;
   /// Provider configuration, passed through verbatim (chunk dedup knobs
   /// live here). The default keeps chunking at real-deployment parameters,
   /// which is inert at simulation payload scale; harnesses that want the
@@ -274,7 +269,6 @@ inline NasOutcome run_nas_approach(Approach approach, int gpus,
     case Approach::kEvoStore: {
       core::ClientConfig ccfg;
       ccfg.put_codec = options.put_codec;
-      ccfg.cache = options.cache;
       if (options.replication != 0) ccfg.replication = options.replication;
       std::vector<std::unique_ptr<storage::MemKv>> backing;
       std::vector<storage::KvStore*> backends;

@@ -51,11 +51,7 @@ struct ProviderStats {
   /// content, physical = post-compression envelope payload).
   uint64_t logical_bytes_ingested = 0;
   uint64_t physical_bytes_ingested = 0;
-  // Cooperative cache + pin ledger (DESIGN.md §14).
-  /// Validation handshakes answered with kNotModified (no payload moved).
-  uint64_t not_modified_reads = 0;
-  /// Reads answered with a kRedirect hint to a peer client's cache.
-  uint64_t redirects_issued = 0;
+  // Transfer pin ledger (DESIGN.md §14).
   /// Transfer pins recorded in the durable pin ledger.
   uint64_t pins_recorded = 0;
   /// Stale-epoch pins reaped when a newer client incarnation appeared (the
@@ -83,10 +79,10 @@ struct ProviderStats {
     v(puts, meta_gets, segment_reads, lcp_queries, lcp_models_scanned,
       lcp_vertex_visits, retires, refs_added, refs_removed, segments_freed,
       stat_gets, deduped_replays, restarts, logical_bytes_ingested,
-      physical_bytes_ingested, not_modified_reads, redirects_issued,
-      pins_recorded, pins_reaped, hints_recorded, hints_replayed,
-      hints_discarded, replica_installed_models, replica_installed_segments,
-      replica_chunks_fetched, drain_models_moved, drain_segments_moved);
+      physical_bytes_ingested, pins_recorded, pins_reaped, hints_recorded,
+      hints_replayed, hints_discarded, replica_installed_models,
+      replica_installed_segments, replica_chunks_fetched, drain_models_moved,
+      drain_segments_moved);
   }
 };
 
@@ -174,104 +170,22 @@ struct GetMetaResponse {
 
 struct ReadSegmentsRequest {
   std::vector<SegmentKey> keys;
-  /// Cache-validation handshake (DESIGN.md §14): when non-empty, parallel to
-  /// `keys` — cached_versions[i] is the provider version the client already
-  /// holds for keys[i] (0 = not cached). A match lets the provider answer
-  /// kNotModified instead of shipping payload bytes.
-  std::vector<uint64_t> cached_versions;
-  /// The reader's fabric node. Meaningful iff `caching`: the provider
-  /// records it in its cache directory so later readers can be redirected
-  /// to this client's cache.
-  common::NodeId reader_node = 0;
-  /// Reader fills a local segment cache from this response.
-  bool caching = false;
-  /// Reader is willing to chase kRedirect hints to a peer cache. Fallback
-  /// re-fetches set this false to guarantee termination.
-  bool accept_redirect = false;
 
   template <class V>
-  void fields(V& v) {
-    v(keys, cached_versions, reader_node, caching, accept_redirect);
-  }
-};
-
-/// Per-key disposition of a read (parallel to the request's `keys`).
-enum class ReadEntryState : uint8_t {
-  kFresh = 0,        ///< envelope shipped in `segments`
-  kNotModified = 1,  ///< cached version still current; no bytes moved
-  kRedirect = 2,     ///< fetch from the peer cache named in `redirect`
-};
-constexpr ReadEntryState last_enumerator(ReadEntryState) {
-  return ReadEntryState::kRedirect;
-}
-
-struct ReadEntryInfo {
-  ReadEntryState state = ReadEntryState::kFresh;
-  /// Provider's current version of the segment (all states) — the version a
-  /// peer read must match exactly.
-  uint64_t version = 0;
-  /// Peer node last known to cache this segment (kRedirect only).
-  common::NodeId redirect = 0;
-
-  friend bool operator==(const ReadEntryInfo&, const ReadEntryInfo&) = default;
-
-  template <class V>
-  void fields(V& v) { v(state, version, redirect); }
+  void fields(V& v) { v(keys); }
 };
 
 struct ReadSegmentsResponse {
   common::Status status;
-  /// Per-key dispositions in request-key order (empty on error).
-  std::vector<ReadEntryInfo> info;
-  /// Compressed envelopes for the kFresh entries only, in request-key order
-  /// (empty on error). Decoding — including resolving delta base
-  /// dependencies — is the client's job.
+  /// Compressed envelopes parallel to the request's `keys` (empty on error).
+  /// Decoding — including resolving delta base dependencies — is the
+  /// client's job.
   std::vector<CompressedSegment> segments;
-  /// Physical bytes moved over the bulk path (post-compression); counts the
-  /// kFresh envelopes only — NotModified and redirected keys cost nothing
-  /// here.
+  /// Physical bytes moved over the bulk path (post-compression).
   uint64_t payload_bytes = 0;
 
   template <class V>
-  void fields(V& v) { v(status, info, segments, payload_bytes); }
-};
-
-// ---- peer_read (client-to-client cooperative cache) ----------------------
-
-/// Fetch segments from a peer client's cache after a provider kRedirect
-/// hint. Versions are mandatory and must match exactly — a peer serving
-/// anything else could resurrect stale bytes the provider already replaced.
-struct PeerReadRequest {
-  std::vector<SegmentKey> keys;
-  std::vector<uint64_t> versions;  // parallel to keys; required match
-
-  template <class V>
-  void fields(V& v) {
-    // One count covers both vectors: `versions` runs parallel to `keys`.
-    uint64_t n = keys.size();
-    v(n);
-    if constexpr (V::kDecoding) {
-      // Varint key (>= 2 bytes) + varint version (>= 1) per entry.
-      if (!v.check_count(n, 3)) return;
-      keys.resize(n);
-      versions.resize(n);
-    }
-    for (SegmentKey& k : keys) v(k);
-    for (uint64_t& version : versions) v(version);
-  }
-};
-
-struct PeerReadResponse {
-  common::Status status;
-  /// Parallel to the request keys: 1 when the peer held the exact version.
-  std::vector<uint8_t> found;
-  /// Envelopes for the found keys, in request-key order.
-  std::vector<CompressedSegment> segments;
-  /// Physical bytes the requester pulls over the bulk path.
-  uint64_t payload_bytes = 0;
-
-  template <class V>
-  void fields(V& v) { v(status, found, segments, payload_bytes); }
+  void fields(V& v) { v(status, segments, payload_bytes); }
 };
 
 // ---- modify_refs ---------------------------------------------------------

@@ -612,13 +612,6 @@ std::vector<SeriesRow> time_series(const EventLogFile& events,
       ++row.reads_served;
     } else if (e.id == "read.failover") {
       ++row.read_failovers;
-    } else if (e.id == "cache.trusted") {
-      row.cache_hits += e.attr_u64("hits");
-    } else if (e.id == "cache.lookup") {
-      row.cache_misses += e.attr_u64("fresh");
-      row.cache_hits += e.attr_u64("not_modified");
-    } else if (e.id == "cache.peer") {
-      row.cache_hits += e.attr_u64("hits");
     }
   }
   int64_t backlog = 0;

@@ -11,7 +11,7 @@
 //   3. Analyses: `check_invariants` (the CI gate — replication and tracing
 //      properties that must hold for EVERY run), `critical_paths`
 //      (per-request latency breakdowns), and `time_series` (handoff
-//      backlog, failover and cache-hit rates over simulated time).
+//      backlog, reads served and failover rates over simulated time).
 //
 // Invariants checked (each violation is one human-readable string):
 //   - completeness: the event log must not have dropped events (a truncated
@@ -154,7 +154,7 @@ std::vector<CriticalPath> critical_paths(const std::vector<SpanInfo>& spans,
 
 // ---- time series ----------------------------------------------------------
 
-/// One bucket of the replication/cache time-series.
+/// One bucket of the replication time-series.
 struct SeriesRow {
   double bucket_start = 0;
   /// Parked hints outstanding at bucket end: cumulative recorded minus
@@ -162,10 +162,6 @@ struct SeriesRow {
   int64_t hint_backlog = 0;
   uint64_t reads_served = 0;
   uint64_t read_failovers = 0;
-  /// Cache outcomes inside the bucket. Hits = trusted + revalidated +
-  /// peer-served; misses = fresh payloads pulled from providers.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
 };
 
 /// Bucket events into `bucket_seconds`-wide rows (empty buckets between

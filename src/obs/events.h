@@ -1,10 +1,10 @@
 // Cluster flight recorder: a bounded, sim-timestamped structured event log.
 //
 // Where metrics answer "how many" and spans answer "how long", the event
-// log answers "what happened, in what order": replication and cache
-// lifecycle transitions — write legs committed/exhausted, hinted handoffs
+// log answers "what happened, in what order": replication lifecycle
+// transitions — write legs committed/exhausted, hinted handoffs
 // parked/replayed/superseded, read failover hops, drain/repair progress,
-// partition open/heal, cache validation outcomes, dedup hits, GC retires —
+// partition open/heal, dedup hits, GC retires —
 // each recorded as a stable event id plus key/value attributes.
 //
 // Design constraints mirror the metrics registry (obs/metrics.h):

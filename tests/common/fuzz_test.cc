@@ -197,11 +197,6 @@ void fuzz_message(T msg, Xoshiro256& rng) {
     (void)common::decode<T>(d);
     (void)d.finish();  // must not crash or hang
   }
-  // PeerReadRequest's one count covers two parallel vectors and is written
-  // by hand in its fields(): varint key + varint version per entry.
-  if constexpr (std::is_same_v<T, core::wire::PeerReadRequest>) {
-    rec.counts.push_back({0, 3});
-  }
   // A count claiming one element more than the remaining input could hold
   // fails before the decoder allocates anything for it.
   for (const auto& c : rec.counts) {

@@ -3,10 +3,11 @@
 // recovery; anti-entropy repair rebuilding a permanently-lost provider from
 // its replica peers (pulling content-addressed chunk bodies from whichever
 // peer has them); drain migrating a provider's catalog to its successor
-// replicas; and the whole handoff cycle surviving a network partition whose
-// heal re-delivers held messages in a reordered order. Across all of these,
-// `find_ancestor` keeps answering exactly what a brute-force LCP over the
-// live catalog answers.
+// replicas; the whole handoff cycle surviving a network partition whose
+// heal re-delivers held messages in a reordered order; and retire
+// tombstones refusing a put that replays after its model's retire. Across
+// all of these, `find_ancestor` keeps answering exactly what a brute-force
+// LCP over the live catalog answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -430,6 +431,106 @@ TEST(Replication, HandoffReplaySurvivesPartitionWithReorderedHeal) {
     replayed += env.repo->provider(p).stats().hints_replayed;
   }
   EXPECT_GT(replayed, 0u);
+}
+
+// Deliver one request straight to provider `to` and return its status.
+template <typename Response, typename Request>
+common::Status deliver(ReplEnv& env, ProviderId to, const char* method,
+                       Request req) {
+  auto call = [&]() -> sim::CoTask<common::Status> {
+    auto r = co_await net::typed_call<Response>(
+        &env.rpc, env.worker, env.provider_nodes[to], method, req);
+    co_return r.ok() ? r->status : r.status();
+  };
+  return env.run(call());
+}
+
+// A put parked as a hint that outlives its model's retire. This is the race
+// that let a retired model come back under faults: a put's leg to `target`
+// exhausts while `target` is down; `target` restarts and its peers replay
+// the hints parked so far (none yet); only then is the put parked on
+// `custodian`. The retire that follows removes the model from `custodian`
+// and reaches `target`, which never held it.
+struct LatePutHint {
+  model::Model m;
+  ProviderId target = 0;
+  ProviderId custodian = 0;
+};
+
+LatePutHint park_put_then_retire(ReplEnv& env) {
+  LatePutHint s{env.make_model(chain_graph(5, 16), 1)};
+  auto reps = env.repo->membership().replicas(s.m.id());
+  EXPECT_EQ(reps.size(), 2u);
+  s.target = reps[0];
+  s.custodian = reps[1];
+
+  wire::PutModelRequest put;
+  put.id = s.m.id();
+  put.quality = s.m.quality();
+  put.graph = s.m.graph();
+  put.owners = OwnerMap::self_owned(s.m.id(), s.m.vertex_count());
+  for (VertexId v = 0; v < s.m.vertex_count(); ++v) {
+    put.new_segments.emplace_back(
+        v, compress::compress_segment(s.m.segment(v), compress::CodecId::kRaw)
+               .value());
+  }
+  env.injector.crash_node(env.provider_nodes[s.target]);
+  EXPECT_TRUE(deliver<wire::PutModelResponse>(env, s.custodian,
+                                              Provider::kPutModel, put)
+                  .ok());
+  env.injector.restart_node(env.provider_nodes[s.target]);
+  env.settle(1.0);
+  wire::StoreHintRequest park;
+  park.hint = wire::HintRecord{s.target, Provider::kPutModel,
+                               common::encode(put)};
+  EXPECT_TRUE(deliver<wire::StoreHintResponse>(env, s.custodian,
+                                               Provider::kStoreHint, park)
+                  .ok());
+  EXPECT_EQ(env.repo->provider(s.custodian).hint_count_for(s.target), 1u);
+
+  EXPECT_TRUE(env.run(env.client().retire(s.m.id())).ok());
+  EXPECT_FALSE(env.repo->provider(s.custodian).has_model(s.m.id()));
+  EXPECT_FALSE(env.repo->provider(s.target).has_model(s.m.id()));
+  return s;
+}
+
+// After the late hint replays, the model is gone from both replicas and
+// every one of its segments is freed.
+void expect_stays_retired(ReplEnv& env, const LatePutHint& s) {
+  EXPECT_EQ(env.repo->total_hints(), 0u);
+  for (ProviderId p : {s.target, s.custodian}) {
+    const Provider& provider = env.repo->provider(p);
+    EXPECT_FALSE(provider.has_model(s.m.id())) << "provider " << p;
+    for (VertexId v = 0; v < s.m.vertex_count(); ++v) {
+      const SegmentKey key{s.m.id(), v};
+      EXPECT_FALSE(provider.has_segment(key)) << "provider " << p << " " << v;
+      EXPECT_EQ(provider.refcount(key), 0);
+    }
+  }
+  EXPECT_EQ(env.run(env.client().get_meta(s.m.id())).status().code(),
+            common::ErrorCode::kNotFound);
+}
+
+TEST(Replication, PutReplayedAfterRetireDoesNotResurrectModel) {
+  ReplEnv env(3);
+  LatePutHint s = park_put_then_retire(env);
+  // The retire left a tombstone on `target`, so the replayed put is refused.
+  EXPECT_EQ(env.run(env.repo->provider(s.custodian)
+                        .replay_hints(s.target, env.provider_nodes[s.target])),
+            1u);
+  expect_stays_retired(env, s);
+}
+
+TEST(Replication, RetireTombstoneSurvivesCrashBeforeReplay) {
+  ReplEnv env(3);
+  LatePutHint s = park_put_then_retire(env);
+  // `target` crashes between the retire and the replay: the tombstone is
+  // durable, so the restart hook's replay is refused all the same.
+  env.injector.crash_node(env.provider_nodes[s.target]);
+  env.injector.restart_node(env.provider_nodes[s.target]);
+  env.settle(2.0);
+  EXPECT_EQ(env.repo->provider(s.custodian).stats().hints_replayed, 1u);
+  expect_stays_retired(env, s);
 }
 
 // The scan-path LCP oracle through the catalog lifecycle: branchy DeepSpace

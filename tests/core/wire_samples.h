@@ -63,15 +63,8 @@ inline auto wire_samples() {
       GetMetaRequest{id},
       meta,
       GetMetaResponse{true, meta},
-      ReadSegmentsRequest{keys, {0, 42}, 9, true, true},
-      ReadEntryInfo{ReadEntryState::kRedirect, 44, 9},
-      ReadSegmentsResponse{Status::Ok(),
-                           {{ReadEntryState::kFresh, 3, 0},
-                            {ReadEntryState::kNotModified, 42, 0}},
-                           {envelope(1)},
-                           4},
-      PeerReadRequest{keys, {11, 300}},
-      PeerReadResponse{Status::Ok(), {1, 0}, {envelope(2)}, 4},
+      ReadSegmentsRequest{keys},
+      ReadSegmentsResponse{Status::Ok(), {envelope(1), envelope(0)}, 4},
       ModifyRefsRequest{keys, false, 0xfeed0001cafe0042ULL, 5, true},
       ModifyRefsResponse{Status::NotFound("missing"), 1, 4096, keys, keys},
       RetireRequest{id, 9},

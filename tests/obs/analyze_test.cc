@@ -349,10 +349,7 @@ TEST(TimeSeries, BucketsAndIntegratesBacklog) {
   };
   add(0.2, "hint.recorded", {{"count", "3"}});
   add(0.4, "read.served", {});
-  add(1.1, "cache.trusted", {{"hits", "5"}});
-  add(1.2, "cache.lookup",
-      {{"provider", "0"}, {"fresh", "2"}, {"not_modified", "4"},
-       {"redirect", "0"}});
+  add(1.1, "read.served", {});
   // Bucket 2 is empty but must still be emitted (continuous x-axis).
   add(3.5, "hint.replayed", {{"count", "2"}});
   add(3.6, "read.failover", {});
@@ -362,8 +359,7 @@ TEST(TimeSeries, BucketsAndIntegratesBacklog) {
   EXPECT_DOUBLE_EQ(rows[0].bucket_start, 0.0);
   EXPECT_EQ(rows[0].hint_backlog, 3);
   EXPECT_EQ(rows[0].reads_served, 1u);
-  EXPECT_EQ(rows[1].cache_hits, 9u);  // 5 trusted + 4 revalidated
-  EXPECT_EQ(rows[1].cache_misses, 2u);
+  EXPECT_EQ(rows[1].reads_served, 1u);
   EXPECT_EQ(rows[2].hint_backlog, 3);  // carried through the empty bucket
   EXPECT_EQ(rows[3].hint_backlog, 1);  // 3 recorded - 2 replayed
   EXPECT_EQ(rows[3].read_failovers, 1u);

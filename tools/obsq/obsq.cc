@@ -19,9 +19,8 @@
 //       keeps the N longest requests (default 10, 0 = all).
 //
 //   obsq --series --events FILE [--bucket SECONDS]
-//       Replication/cache time-series in `--bucket`-second rows (default
-//       1.0): parked-hint backlog, reads served, failovers, cache hits and
-//       misses per bucket.
+//       Replication time-series in `--bucket`-second rows (default 1.0):
+//       parked-hint backlog, reads served and failovers per bucket.
 //
 // Exit codes: 0 ok, 1 invariant violation, 2 usage or unreadable/corrupt
 // input (a malformed artifact is always a hard error — a truncated or
@@ -150,13 +149,12 @@ int run_series(const std::string& events_path, double bucket) {
     return 2;
   }
   auto rows = obs::time_series(events, bucket);
-  std::printf("%12s %12s %10s %10s %10s %10s\n", "t", "hint_backlog", "reads",
-              "failovers", "cache_hit", "cache_miss");
+  std::printf("%12s %12s %10s %10s\n", "t", "hint_backlog", "reads",
+              "failovers");
   for (const auto& r : rows) {
-    std::printf("%12.3f %12" PRId64 " %10" PRIu64 " %10" PRIu64 " %10" PRIu64
-                " %10" PRIu64 "\n",
+    std::printf("%12.3f %12" PRId64 " %10" PRIu64 " %10" PRIu64 "\n",
                 r.bucket_start, r.hint_backlog, r.reads_served,
-                r.read_failovers, r.cache_hits, r.cache_misses);
+                r.read_failovers);
   }
   return 0;
 }
