@@ -22,7 +22,8 @@ class ModelRepository {
 
   virtual std::string name() const = 0;
 
-  /// Allocate a globally unique model id.
+  /// Allocate a globally unique model id (EvoStoreRepository: never one an
+  /// earlier repository over the same backends allocated).
   virtual ModelId allocate_id() = 0;
 
   /// Find the best transfer-learning ancestor for `g` (LCP semantics) and,
@@ -54,9 +55,10 @@ class EvoStoreRepository final : public ModelRepository {
   /// (paper §4.3's RocksDB-class backends); pass an empty vector for pure
   /// in-memory providers. Non-owning; backends must outlive the repository.
   /// Construction bumps a persisted incarnation epoch on every backend and
-  /// folds the maximum into the clients' idempotency-token namespace, so
-  /// tokens minted by this repository's clients can never collide with
-  /// `tok/` dedup records a PREVIOUS repository left in the backend. (Within
+  /// folds the maximum into the clients' idempotency-token namespace and
+  /// into every model id it allocates, so neither a token nor an id minted
+  /// here can collide with a `tok/` dedup record or a `tomb/` retire
+  /// tombstone a PREVIOUS repository left in the backend. (Within
   /// one repository, provider crash-recovery deliberately keeps the epoch:
   /// in-flight retries must still match their pre-crash dedup records.)
   ///
@@ -68,7 +70,10 @@ class EvoStoreRepository final : public ModelRepository {
                      ClientConfig client_config = {});
 
   std::string name() const override { return "EvoStore"; }
-  ModelId allocate_id() override { return ModelId::make(0, ++id_seq_); }
+  ModelId allocate_id() override {
+    return ModelId::make(id_allocator(client_config_.token_epoch, 0),
+                         ++id_seq_);
+  }
 
   sim::CoTask<Result<std::optional<TransferContext>>> prepare_transfer(
       NodeId client, const ArchGraph& g, bool fetch_payload) override;

@@ -12,7 +12,6 @@
 namespace evostore::core {
 namespace {
 
-using common::ModelId;
 using common::SegmentKey;
 using common::VertexId;
 using testing::chain_graph;
@@ -160,17 +159,41 @@ TEST_P(PersistenceTest, RetiredModelStaysGoneAfterRestart) {
             common::ErrorCode::kNotFound);
 }
 
+TEST_P(PersistenceTest, RebuiltRepositoryDoesNotReuseRetiredIds) {
+  // Every retire leaves a durable tombstone that refuses later puts of its
+  // id (DESIGN.md §15), so a repository rebuilt over the same backend must
+  // not allocate a retired id again — from either allocator.
+  auto g = chain_graph(4, 16);
+  auto by_repo = model::Model::random(env_->repo->allocate_id(), g, 1);
+  auto by_client = model::Model::random(env_->client().allocate_id(),
+                                        chain_graph(4, 16, 1), 2);
+  for (const model::Model* m : {&by_repo, &by_client}) {
+    ASSERT_TRUE(env_->store(*m, nullptr));
+    ASSERT_TRUE(env_->run(env_->client().retire(m->id())).ok());
+  }
+  env_->restart();
+  auto again_repo = model::Model::random(env_->repo->allocate_id(), g, 3);
+  auto again_client = model::Model::random(env_->client().allocate_id(),
+                                           chain_graph(4, 16, 1), 4);
+  EXPECT_NE(again_repo.id(), by_repo.id());
+  EXPECT_NE(again_client.id(), by_client.id());
+  for (const model::Model* m : {&again_repo, &again_client}) {
+    ASSERT_TRUE(env_->store(*m, nullptr)) << m->id().to_string();
+    EXPECT_TRUE(env_->run(env_->client().get_model(m->id())).ok());
+  }
+  EXPECT_EQ(env_->provider().model_count(), 2u);
+}
+
 TEST_P(PersistenceTest, SequenceNumbersResumeAfterRestart) {
-  // Repository-side id counters reset across restarts, so this test supplies
-  // its own ids (real clients embed a unique allocator id; see ModelId).
   auto g = chain_graph(3, 8);
-  auto m1 = model::Model::random(ModelId::make(9, 1), g, 1);
+  auto m1 = model::Model::random(env_->repo->allocate_id(), g, 1);
   ASSERT_TRUE(env_->store(m1, nullptr));
   auto meta1 = env_->run(env_->client().get_meta(m1.id()));
   ASSERT_TRUE(meta1.ok());
 
   env_->restart();
-  auto m2 = model::Model::random(ModelId::make(9, 2), chain_graph(3, 8, 1), 2);
+  auto m2 = model::Model::random(env_->repo->allocate_id(),
+                                 chain_graph(3, 8, 1), 2);
   ASSERT_TRUE(env_->store(m2, nullptr));
   auto meta2 = env_->run(env_->client().get_meta(m2.id()));
   ASSERT_TRUE(meta2.ok());
