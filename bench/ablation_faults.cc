@@ -227,12 +227,13 @@ int main(int argc, char** argv) {
                        bool ok) {
     std::printf("%-22s %9.1fs %7.2fx failovers %" PRIu64 ", hints %" PRIu64
                 "/%" PRIu64 " replayed, parked %zu, partitioned %" PRIu64
-                " — %s\n",
+                ", lcp takeovers %" PRIu64 " (partial %" PRIu64 ") — %s\n",
                 label, out.result.makespan,
                 out.result.makespan / baseline.result.makespan,
                 out.fault.read_failovers, out.fault.hints_sent,
                 out.fault.hints_replayed, out.fault.end_parked_hints,
-                out.fault.partitioned_messages, ok ? "ok" : "FAIL");
+                out.fault.partitioned_messages, out.fault.lcp_takeovers,
+                out.fault.partial_lcp_queries, ok ? "ok" : "FAIL");
     if (!ok) {
       std::printf("   !! repair=%d drain=%d converged=%d readback=%d "
                   "exhausted=%" PRIu64 " drain_failures=%" PRIu64
@@ -259,10 +260,13 @@ int main(int argc, char** argv) {
     // Acceptance: the wiped provider is rebuilt from its replica peers, the
     // cluster converges back to FULL k-way replication with bit-identical
     // envelopes, the client read-back succeeds for every surviving model,
-    // no hint stays parked, and no operation surfaced an error.
+    // no hint stays parked, no operation surfaced an error, and every LCP
+    // query stayed exact (the down or recovering provider's scan share was
+    // taken over by its next replica, DESIGN.md §17).
     bool ok = out.fault.repair_ok && out.fault.converged &&
               out.fault.readback_ok && out.fault.end_parked_hints == 0 &&
               out.fault.exhausted == 0 && out.fault.drain_failures == 0 &&
+              out.fault.partial_lcp_queries == 0 &&
               out.fault.drained_to_zero &&
               out.result.traces.size() == baseline.result.traces.size() &&
               reproducible(opts, out);
@@ -310,6 +314,7 @@ int main(int argc, char** argv) {
     bool ok = out.fault.partitioned_messages > 0 && out.fault.repair_ok &&
               out.fault.converged && out.fault.readback_ok &&
               out.fault.end_parked_hints == 0 && out.fault.exhausted == 0 &&
+              out.fault.partial_lcp_queries == 0 &&
               out.fault.drain_failures == 0 && out.fault.drained_to_zero &&
               out.result.traces.size() == baseline.result.traces.size() &&
               reproducible(opts, out);

@@ -40,6 +40,7 @@ struct FaultOutcome {
   uint64_t retries = 0;
   uint64_t exhausted = 0;
   uint64_t partial_lcp_queries = 0;
+  uint64_t lcp_takeovers = 0;  // LCP queries that needed a takeover round
   uint64_t degraded_transfers = 0;
   // Provider-side.
   uint64_t provider_restarts = 0;
@@ -413,6 +414,7 @@ inline NasOutcome run_nas_approach(Approach approach, int gpus,
         out.fault.retries = cs.retries;
         out.fault.exhausted = cs.exhausted;
         out.fault.partial_lcp_queries = cs.partial_lcp_queries;
+        out.fault.lcp_takeovers = cs.lcp_takeovers;
         out.fault.degraded_transfers = cs.degraded_transfers;
         out.fault.read_failovers = cs.read_failovers;
         out.fault.hints_sent = cs.hints_sent;

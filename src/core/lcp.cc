@@ -43,13 +43,32 @@ LcpResult longest_common_prefix(const ArchGraph& g, const ArchGraph& a,
 LcpResult LcpWorkspace::run(const ArchGraph& g, const ArchGraph& a,
                             LcpCost* cost) {
   LcpResult result;
+  prefix_length(g, a, cost);
+  last_matches(&result.matches);
+  return result;
+}
+
+void LcpWorkspace::last_matches(
+    std::vector<std::pair<VertexId, VertexId>>* out) const {
+  out->clear();
+  if (g_size_ == 0) return;
+  out->reserve(frontier_.size());
+  for (VertexId v = 0; v < g_size_; ++v) {
+    if (match_[v] != kUnmatched) out->emplace_back(v, match_[v]);
+  }
+}
+
+size_t LcpWorkspace::prefix_length(const ArchGraph& g, const ArchGraph& a,
+                                   LcpCost* cost) {
+  g_size_ = 0;
   uint64_t visits_done = 0;
-  if (g.empty() || a.empty()) return result;
+  if (g.empty() || a.empty()) return 0;
   ++visits_done;
   if (g.signature(g.root()) != a.signature(a.root())) {
     if (cost != nullptr) cost->vertex_visits += visits_done;
-    return result;
+    return 0;
   }
+  g_size_ = g.size();
 
   match_.assign(g.size(), kUnmatched);
   a_used_.assign(a.size(), 0);
@@ -106,12 +125,9 @@ LcpResult LcpWorkspace::run(const ArchGraph& g, const ArchGraph& a,
     }
   }
 
-  result.matches.reserve(frontier_.size());
-  for (VertexId v = 0; v < g.size(); ++v) {
-    if (match_[v] != kUnmatched) result.matches.emplace_back(v, match_[v]);
-  }
   if (cost != nullptr) cost->vertex_visits += visits_done;
-  return result;
+  // Every matched vertex entered the frontier exactly once.
+  return frontier_.size();
 }
 
 }  // namespace evostore::core

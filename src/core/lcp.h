@@ -14,11 +14,11 @@
 // predecessor outside the prefix in either graph can never be eligible).
 //
 // One run compares a query against ONE stored model; a provider answering
-// `find_ancestor` scans its whole local catalog this way and keeps the best
-// by (prefix length, quality, lower id). That scan is the only serving path
-// (a prefix trie is exact only for linear chains, DESIGN.md §16), so this
-// header is also the test oracle: brute-force `longest_common_prefix` over a
-// catalog must reproduce every provider answer.
+// `find_ancestor` scans the local models it owns this way and keeps the best
+// by `lcp_outranks`. That scan is the only serving path (a prefix trie is
+// exact only for linear chains, DESIGN.md §16), so this header is also the
+// test oracle: brute-force `longest_common_prefix` over a catalog must
+// reproduce every provider answer.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +31,17 @@ namespace evostore::core {
 
 using common::VertexId;
 using model::ArchGraph;
+
+/// The reduce order of a collective LCP query, shared by the provider scans
+/// and the client reduce: a candidate (prefix length, quality, id) beats the
+/// incumbent by a longer prefix, then a higher quality, then a lower id.
+inline bool lcp_outranks(size_t len, double quality, common::ModelId id,
+                         size_t best_len, double best_quality,
+                         common::ModelId best_id) {
+  if (len != best_len) return len > best_len;
+  if (quality != best_quality) return quality > best_quality;
+  return id < best_id;
+}
 
 struct LcpResult {
   /// (G vertex, A vertex) pairs forming the prefix; empty if even the roots
@@ -65,6 +76,14 @@ class LcpWorkspace {
  public:
   LcpResult run(const ArchGraph& g, const ArchGraph& a, LcpCost* cost);
 
+  /// Prefix length of `g` against `a` without materializing the pairs: a
+  /// catalog scan calls this per stored model and copies the pairs out with
+  /// `last_matches` only for the models that beat its current best.
+  size_t prefix_length(const ArchGraph& g, const ArchGraph& a, LcpCost* cost);
+  /// The (G vertex, A vertex) pairs of the last `prefix_length` call, sorted
+  /// by G vertex (empty when it returned 0).
+  void last_matches(std::vector<std::pair<VertexId, VertexId>>* out) const;
+
  private:
   friend LcpResult longest_common_prefix(const ArchGraph&, const ArchGraph&,
                                          LcpCost*);
@@ -76,6 +95,7 @@ class LcpWorkspace {
   std::vector<VertexId> frontier_;
   std::vector<VertexId> cand_here_;
   std::vector<VertexId> merged_;
+  size_t g_size_ = 0;  // query size of the last run (0: roots differed)
 };
 
 }  // namespace evostore::core

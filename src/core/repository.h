@@ -153,6 +153,7 @@ class EvoStoreRepository final : public ModelRepository {
   std::vector<NodeId> provider_nodes_;
   std::shared_ptr<Membership> membership_;
   std::vector<std::unique_ptr<Provider>> providers_;
+  std::vector<storage::KvStore*> backends_;  // per provider; null = none
   std::unordered_map<NodeId, std::unique_ptr<Client>> clients_;
   ClientConfig client_config_;
   uint32_t id_seq_ = 0;

@@ -82,7 +82,11 @@ void EventLog::write_json(std::ostream& os) const {
     for (const auto& [k, v] : e->attrs) {
       if (!afirst) out += ", ";
       afirst = false;
-      out += "\"" + json_escape(k) + "\": \"" + json_escape(v) + "\"";
+      out += '"';
+      out += json_escape(k);
+      out += "\": \"";
+      out += json_escape(v);
+      out += '"';
     }
     out += "}}";
   }

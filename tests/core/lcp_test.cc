@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "workload/deepspace.h"
 
@@ -225,6 +226,42 @@ TEST(Lcp, MutatedDeepSpaceGraphSharesPrefix) {
   }
   // Most single-choice mutations preserve a nontrivial prefix.
   EXPECT_GT(with_prefix, 20);
+}
+
+TEST(Lcp, ReusedWorkspaceLengthMatchesFreshRun) {
+  // The catalog scan reuses one workspace and asks only for the length,
+  // copying the pairs out for the models that beat its best: every answer
+  // and visit count must equal a fresh full run, including right after a
+  // root mismatch (whose call leaves no pairs behind).
+  workload::DeepSpace space;
+  common::Xoshiro256 rng(23);
+  auto query = space.decode_graph(space.random(rng));
+  auto other_root = chain({make_input(3), make_dense(3, 8)});
+  LcpWorkspace ws;
+  std::vector<std::pair<common::VertexId, common::VertexId>> pairs;
+  for (int i = 0; i < 60; ++i) {
+    auto a = i % 7 == 3 ? other_root : space.decode_graph(space.random(rng));
+    LcpCost fresh_cost;
+    LcpCost reused_cost;
+    LcpResult fresh = longest_common_prefix(query, a, &fresh_cost);
+    EXPECT_EQ(ws.prefix_length(query, a, &reused_cost), fresh.length())
+        << "iteration " << i;
+    ws.last_matches(&pairs);
+    EXPECT_EQ(pairs, fresh.matches) << "iteration " << i;
+    EXPECT_EQ(reused_cost.vertex_visits, fresh_cost.vertex_visits)
+        << "iteration " << i;
+  }
+}
+
+TEST(Lcp, OutranksOrdersByLengthThenQualityThenLowerId) {
+  const common::ModelId lo = common::ModelId::make(1, 1);
+  const common::ModelId hi = common::ModelId::make(1, 2);
+  EXPECT_TRUE(lcp_outranks(5, 0.1, hi, 4, 0.9, lo));
+  EXPECT_FALSE(lcp_outranks(4, 0.9, lo, 5, 0.1, hi));
+  EXPECT_TRUE(lcp_outranks(5, 0.6, hi, 5, 0.5, lo));
+  EXPECT_TRUE(lcp_outranks(5, 0.5, lo, 5, 0.5, hi));
+  EXPECT_FALSE(lcp_outranks(5, 0.5, hi, 5, 0.5, lo));
+  EXPECT_FALSE(lcp_outranks(5, 0.5, lo, 5, 0.5, lo));
 }
 
 }  // namespace
