@@ -69,29 +69,25 @@ void BM_LcpDeepSpacePair(benchmark::State& state) {
 BENCHMARK(BM_LcpDeepSpacePair);
 
 void BM_LcpCatalogScan(benchmark::State& state) {
-  // One full provider-side scan: a query graph against N stored graphs. As
-  // in the provider, only a model that beats the best so far has its
-  // (G vertex, A vertex) pairs copied out of the workspace.
+  // One provider-side scan, through the function the provider serves it
+  // with: a query graph against N stored graphs, reduced by lcp_outranks,
+  // with the pairs copied out only for a model that beats the best so far.
   workload::DeepSpace space;
   common::Xoshiro256 rng(2);
   std::vector<model::ArchGraph> catalog;
   for (int64_t i = 0; i < state.range(0); ++i) {
     catalog.push_back(space.decode_graph(space.random(rng)));
   }
+  std::vector<core::LcpCandidate> rows;
+  for (size_t i = 0; i < catalog.size(); ++i) {
+    rows.push_back({common::ModelId::make(1, static_cast<uint32_t>(i + 1)),
+                    &catalog[i], static_cast<double>(i % 16) / 16.0});
+  }
   auto query = space.decode_graph(space.random(rng));
   core::LcpWorkspace ws;
-  std::vector<std::pair<common::VertexId, common::VertexId>> best_matches;
   for (auto _ : state) {
-    size_t best = 0;
-    for (const auto& a : catalog) {
-      size_t len = ws.prefix_length(query, a, nullptr);
-      if (len > best) {
-        best = len;
-        ws.last_matches(&best_matches);
-      }
-    }
-    benchmark::DoNotOptimize(best);
-    benchmark::DoNotOptimize(best_matches.data());
+    core::LcpBest best = core::scan_candidates(query, rows, ws, nullptr);
+    benchmark::DoNotOptimize(best.matches.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -69,17 +69,16 @@ double Client::backoff_delay(int attempt) {
 
 // ---- LCP query: broadcast + reduce ---------------------------------------
 
-template <typename Request>
 sim::CoTask<Result<wire::LcpQueryResponse>> Client::lcp_one(
-    NodeId to, Request req, obs::TraceContext parent) {
-  constexpr bool kTakeover = std::is_same_v<Request, wire::LcpTakeoverRequest>;
+    NodeId to, bool takeover, net::EncodedRequest req,
+    obs::TraceContext parent) {
   // One span per fan-out leg, so the trace shows the broadcast shape (and
   // which leg a slow or retried attempt belonged to).
   obs::Span leg = obs::Tracer::maybe_begin(
-      tracer(), kTakeover ? "lcp_takeover_leg" : "lcp_leg", self_, parent);
+      tracer(), takeover ? "lcp_takeover_leg" : "lcp_leg", self_, parent);
   leg.tag_u64("provider_node", to);
   co_return co_await call_retried<wire::LcpQueryResponse>(
-      to, kTakeover ? Provider::kLcpTakeover : Provider::kLcpQuery,
+      to, takeover ? Provider::kLcpTakeover : Provider::kLcpQuery,
       std::move(req), leg.context());
 }
 
@@ -88,11 +87,16 @@ sim::CoTask<Status> Client::lcp_round(
     const Request& req, std::vector<common::ProviderId> to,
     obs::TraceContext parent, wire::LcpQueryResponse* best,
     std::vector<common::ProviderId>* failed) {
+  constexpr bool kTakeover = std::is_same_v<Request, wire::LcpTakeoverRequest>;
   auto& sim = rpc_->simulation();
+  // Encoded once: every leg and every retry sends these same bytes.
+  const net::EncodedRequest encoded{
+      std::make_shared<const common::Bytes>(common::encode(req))};
   std::vector<sim::Future<Result<wire::LcpQueryResponse>>> futures;
   futures.reserve(to.size());
   for (common::ProviderId p : to) {
-    futures.push_back(sim.spawn(lcp_one(provider_node(p), req, parent)));
+    futures.push_back(
+        sim.spawn(lcp_one(provider_node(p), kTakeover, encoded, parent)));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     auto r = co_await futures[i];

@@ -343,12 +343,13 @@ class Client {
   // client's policy; they take their request BY VALUE — a lazily-started
   // frame holding a reference to a loop-local request would dangle. The
   // trace context is likewise by value.
-  template <typename Request>
+  // `req` is a plain (`takeover` false) or takeover LCP request.
   sim::CoTask<Result<wire::LcpQueryResponse>> lcp_one(
-      NodeId to, Request req, obs::TraceContext parent);
-  // One LCP fan-out round: send `req` to every provider in `to`, reduce the
-  // answers into `best`, and append the retryably-failed providers to
-  // `failed`. Returns a non-retryable failure, if any.
+      NodeId to, bool takeover, net::EncodedRequest req,
+      obs::TraceContext parent);
+  // One LCP fan-out round: send `req`, encoded once, to every provider in
+  // `to`, reduce the answers into `best`, and append the retryably-failed
+  // providers to `failed`. Returns a non-retryable failure, if any.
   template <typename Request>
   sim::CoTask<Status> lcp_round(const Request& req,
                                 std::vector<common::ProviderId> to,

@@ -58,6 +58,26 @@ void LcpWorkspace::last_matches(
   }
 }
 
+void LcpWorkspace::reset(size_t g_size, size_t a_size) {
+  for (VertexId v : frontier_) {
+    a_used_[match_[v]] = 0;
+    match_[v] = kUnmatched;
+  }
+  for (VertexId v : proposed_list_) {
+    visits_[v] = 0;
+    proposed_[v] = 0;
+  }
+  frontier_.clear();
+  proposed_list_.clear();
+  if (match_.size() < g_size) {
+    match_.resize(g_size, kUnmatched);
+    visits_.resize(g_size, 0);
+    proposed_.resize(g_size, 0);
+    candidates_.resize(g_size);
+  }
+  if (a_used_.size() < a_size) a_used_.resize(a_size, 0);
+}
+
 size_t LcpWorkspace::prefix_length(const ArchGraph& g, const ArchGraph& a,
                                    LcpCost* cost) {
   g_size_ = 0;
@@ -69,13 +89,7 @@ size_t LcpWorkspace::prefix_length(const ArchGraph& g, const ArchGraph& a,
     return 0;
   }
   g_size_ = g.size();
-
-  match_.assign(g.size(), kUnmatched);
-  a_used_.assign(a.size(), 0);
-  visits_.assign(g.size(), 0);
-  proposed_.assign(g.size(), 0);
-  if (candidates_.size() < g.size()) candidates_.resize(g.size());
-  frontier_.clear();
+  reset(g.size(), a.size());
 
   match_[g.root()] = a.root();
   a_used_[a.root()] = 1;
@@ -100,6 +114,7 @@ size_t LcpWorkspace::prefix_length(const ArchGraph& g, const ArchGraph& a,
       // out_edges are sorted, so cand_here_ is sorted.
       if (!proposed_[v]) {
         proposed_[v] = 1;
+        proposed_list_.push_back(v);
         candidates_[v].assign(cand_here_.begin(), cand_here_.end());
       } else {
         merged_.clear();
@@ -128,6 +143,25 @@ size_t LcpWorkspace::prefix_length(const ArchGraph& g, const ArchGraph& a,
   if (cost != nullptr) cost->vertex_visits += visits_done;
   // Every matched vertex entered the frontier exactly once.
   return frontier_.size();
+}
+
+LcpBest scan_candidates(const ArchGraph& g,
+                        const std::vector<LcpCandidate>& candidates,
+                        LcpWorkspace& ws, LcpCost* cost) {
+  LcpBest best;
+  for (const LcpCandidate& c : candidates) {
+    size_t len = ws.prefix_length(g, *c.graph, cost);
+    if (len == 0) continue;
+    if (best.found && !lcp_outranks(len, c.quality, c.id, best.length(),
+                                    best.quality, best.id)) {
+      continue;
+    }
+    best.found = true;
+    best.id = c.id;
+    best.quality = c.quality;
+    ws.last_matches(&best.matches);
+  }
+  return best;
 }
 
 }  // namespace evostore::core

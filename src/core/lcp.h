@@ -71,7 +71,10 @@ LcpResult longest_common_prefix(const ArchGraph& g, const ArchGraph& a,
 
 /// Reusable scratch space for catalog scans: a provider evaluating one query
 /// graph against thousands of stored ancestors avoids re-allocating the
-/// per-call vectors. Not thread-safe; one workspace per scanning context.
+/// per-call vectors. Its arrays only grow (to the largest graphs seen), and
+/// each run resets only the entries the previous run touched, so a pair that
+/// diverges after a few vertices costs a few vertex visits, not a pass over
+/// the query. Not thread-safe; one workspace per scanning context.
 class LcpWorkspace {
  public:
   LcpResult run(const ArchGraph& g, const ArchGraph& a, LcpCost* cost);
@@ -87,15 +90,52 @@ class LcpWorkspace {
  private:
   friend LcpResult longest_common_prefix(const ArchGraph&, const ArchGraph&,
                                          LcpCost*);
+  /// Return every entry the last run touched to its initial value, then
+  /// grow the arrays to hold a `g_size`-vertex query and a `a_size`-vertex
+  /// ancestor.
+  void reset(size_t g_size, size_t a_size);
+
+  // Indexed by G vertex.
   std::vector<VertexId> match_;
-  std::vector<uint8_t> a_used_;
   std::vector<uint32_t> visits_;
-  std::vector<std::vector<VertexId>> candidates_;
   std::vector<uint8_t> proposed_;
+  std::vector<std::vector<VertexId>> candidates_;
+  // Indexed by A vertex.
+  std::vector<uint8_t> a_used_;
+  // The matched G vertices in match order; with match_ they name every
+  // A vertex whose a_used_ the run set.
   std::vector<VertexId> frontier_;
+  // The G vertices whose visits_ / proposed_ the run set.
+  std::vector<VertexId> proposed_list_;
   std::vector<VertexId> cand_here_;
   std::vector<VertexId> merged_;
   size_t g_size_ = 0;  // query size of the last run (0: roots differed)
 };
+
+/// One stored model a catalog scan compares the query against. `graph`
+/// points into the caller's catalog and must outlive the scan.
+struct LcpCandidate {
+  common::ModelId id;
+  const ArchGraph* graph = nullptr;
+  double quality = 0;
+};
+
+/// The winner of one catalog scan under `lcp_outranks` (found false when no
+/// candidate shares even the query's root).
+struct LcpBest {
+  bool found = false;
+  common::ModelId id;
+  double quality = 0;
+  std::vector<std::pair<VertexId, VertexId>> matches;
+  size_t length() const { return matches.size(); }
+};
+
+/// The map step of a collective LCP query (paper §4.2): Algorithm 1 of `g`
+/// against every candidate, reduced by `lcp_outranks`. The pairs are copied
+/// out of `ws` only for a candidate that beats the best so far. Adds the
+/// visits to `cost` (may be null).
+LcpBest scan_candidates(const ArchGraph& g,
+                        const std::vector<LcpCandidate>& candidates,
+                        LcpWorkspace& ws, LcpCost* cost);
 
 }  // namespace evostore::core

@@ -349,6 +349,7 @@ void Provider::dedup_store(uint64_t token, const common::Bytes& response) {
 void Provider::restart() {
   ++stats_.restarts;
   models_.clear();
+  owned_stale_ = true;
   segments_.clear();
   tombstones_.clear();
   pins_.clear();
@@ -848,6 +849,7 @@ sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
   // Metadata is removed eagerly; segment payloads survive until their
   // reference counts (decremented by the client fan-out) reach zero.
   models_.erase(it);
+  owned_stale_ = true;
   erase_meta(req.id);
   resp.status = Status::Ok();
   Bytes packed = encode(resp);
@@ -859,25 +861,39 @@ sim::CoTask<Bytes> Provider::handle_retire(Bytes request) {
 
 void Provider::install_model(common::ModelId id, MetaRecord meta) {
   models_.emplace(id, CatalogEntry{std::move(meta), membership_->replicas(id)});
+  owned_stale_ = true;
 }
 
 void Provider::refresh_placement() {
   if (membership_->version() == placed_version_) return;
   placed_version_ = membership_->version();
   for (auto& [id, entry] : models_) entry.replicas = membership_->replicas(id);
+  owned_stale_ = true;
 }
 
-bool Provider::scans(const CatalogEntry& e,
-                     const wire::LcpTakeoverRequest* takeover) const {
+const std::vector<LcpCandidate>& Provider::owned_rows() {
+  if (owned_stale_) {
+    owned_.clear();
+    for (const auto& [id, entry] : models_) {
+      if (!entry.replicas.empty() && entry.replicas.front() == id_) {
+        owned_.push_back({id, &entry.meta.graph, entry.meta.quality});
+      }
+    }
+    owned_stale_ = false;
+  }
+  return owned_;
+}
+
+bool Provider::takes_over(const CatalogEntry& e,
+                          const wire::LcpTakeoverRequest& takeover) const {
   if (e.replicas.empty()) return false;  // no live provider left at all
-  if (takeover == nullptr) return e.replicas.front() == id_;
   auto in = [](const std::vector<common::ProviderId>& set,
                common::ProviderId p) {
     return std::find(set.begin(), set.end(), p) != set.end();
   };
-  auto failed = [&](common::ProviderId p) { return in(takeover->failed, p); };
+  auto failed = [&](common::ProviderId p) { return in(takeover.failed, p); };
   auto out = [&](common::ProviderId p) {
-    return failed(p) || in(takeover->recovering, p);
+    return failed(p) || in(takeover.recovering, p);
   };
   // Owned by a plain-round responder: already scanned.
   if (!out(e.replicas.front())) return false;
@@ -898,24 +914,26 @@ sim::CoTask<wire::LcpQueryResponse> Provider::scan_catalog(
   double t0 = sim_->now();
   obs::Span span = obs::Tracer::maybe_begin(tracer(), "lcp_scan", node_, trace);
   refresh_placement();
-  wire::LcpQueryResponse resp;
-  LcpCost cost;
-  LcpWorkspace ws;
-  uint64_t scanned = 0;
-  for (const auto& [id, entry] : models_) {
-    if (!scans(entry, takeover)) continue;
-    ++scanned;
-    size_t len = ws.prefix_length(g, entry.meta.graph, &cost);
-    if (len == 0) continue;
-    if (resp.found && !lcp_outranks(len, entry.meta.quality, id, resp.lcp_len(),
-                                    resp.quality, resp.ancestor)) {
-      continue;
+  // A plain query scans the owned rows. A takeover is rare, so it walks the
+  // whole catalog for the share it inherits.
+  std::vector<LcpCandidate> inherited;
+  if (takeover != nullptr) {
+    for (const auto& [id, entry] : models_) {
+      if (takes_over(entry, *takeover)) {
+        inherited.push_back({id, &entry.meta.graph, entry.meta.quality});
+      }
     }
-    resp.found = true;
-    resp.ancestor = id;
-    resp.quality = entry.meta.quality;
-    ws.last_matches(&resp.matches);
   }
+  const std::vector<LcpCandidate>& rows =
+      takeover == nullptr ? owned_rows() : inherited;
+  const uint64_t scanned = rows.size();
+  LcpCost cost;
+  LcpBest best = scan_candidates(g, rows, lcp_ws_, &cost);
+  wire::LcpQueryResponse resp;
+  resp.found = best.found;
+  resp.ancestor = best.id;
+  resp.quality = best.quality;
+  resp.matches = std::move(best.matches);
   stats_.lcp_models_scanned += scanned;
   stats_.lcp_vertex_visits += cost.vertex_visits;
   // Charge the scan's CPU time (the map step of the collective query).
@@ -1308,7 +1326,7 @@ sim::CoTask<Provider::PushResult> Provider::push_owner(
     opts.parent = parent;
     auto r = co_await net::typed_call<wire::ReplicateResponse>(
         rpc_, node_, provider_nodes[target], kReplicate, rr, opts);
-    if (!r.ok() || !r->status.ok()) ++result.failed;
+    if (!r.ok() || !r->status.ok()) result.failed.push_back(target);
   }
   co_return result;
 }
@@ -1376,27 +1394,37 @@ sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
     }
     return std::make_pair(joiners, peers);
   };
+  // Best effort: a joiner that is down right now is rebuilt by the next
+  // repair pass; the surviving replicas still hold everything. Until that
+  // repair the joiner lacks models in its replica sets, and a later
+  // placement change can make it their owner, so it is marked awaiting
+  // repair and LCP queries route its share to its peers.
+  uint64_t failed_pushes = 0;
+  auto mark_failed = [&](const PushResult& pushed) {
+    for (common::ProviderId p : pushed.failed) {
+      membership_->set_awaiting_repair(p, true);
+    }
+    failed_pushes += pushed.failed.size();
+  };
   for (ModelId id : with_meta) {
     auto [joiners, peers] = joiners_of(id);
-    // Best effort: a joiner that is down right now is rebuilt by the next
-    // repair pass; the surviving replicas still hold everything.
-    uint64_t segs = (co_await push_owner(id, /*with_meta=*/true, joiners,
-                                         req.provider_nodes, peers,
-                                         span.context()))
-                        .segments;
+    PushResult pushed =
+        co_await push_owner(id, /*with_meta=*/true, joiners,
+                            req.provider_nodes, peers, span.context());
+    mark_failed(pushed);
     ++resp.models_moved;
-    resp.segments_moved += segs;
+    resp.segments_moved += pushed.segments;
     ++stats_.drain_models_moved;
-    stats_.drain_segments_moved += segs;
+    stats_.drain_segments_moved += pushed.segments;
   }
   for (ModelId owner : orphan_owners) {
     auto [joiners, peers] = joiners_of(owner);
-    uint64_t segs = (co_await push_owner(owner, /*with_meta=*/false, joiners,
-                                         req.provider_nodes, peers,
-                                         span.context()))
-                        .segments;
-    resp.segments_moved += segs;
-    stats_.drain_segments_moved += segs;
+    PushResult pushed =
+        co_await push_owner(owner, /*with_meta=*/false, joiners,
+                            req.provider_nodes, peers, span.context());
+    mark_failed(pushed);
+    resp.segments_moved += pushed.segments;
+    stats_.drain_segments_moved += pushed.segments;
   }
   // Hand the parked hints to the lowest-id surviving provider: their
   // targets may still recover and expect a replay.
@@ -1445,6 +1473,7 @@ sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
   segments_.clear();
   for (auto& [id, entry] : models_) erase_meta(id);
   models_.clear();
+  owned_stale_ = true;
   for (auto& [epoch, keys] : pins_) {
     for (auto& [key, count] : keys) persist_pin(epoch, key, 0);
   }
@@ -1455,6 +1484,7 @@ sim::CoTask<Bytes> Provider::handle_drain(Bytes request,
   span.tag_u64("models_moved", resp.models_moved);
   span.tag_u64("segments_moved", resp.segments_moved);
   span.tag_u64("hints_moved", resp.hints_moved);
+  span.tag_u64("failed_pushes", failed_pushes);
   span.tag("outcome", "ok");
   if (obs::EventLog* ev = events()) {
     // The analyzer asserts every drain.begin has a drain.end whose *_left
@@ -1530,7 +1560,7 @@ sim::CoTask<Bytes> Provider::handle_repair(Bytes request,
                             req.provider_nodes, peers_of(id), span.context());
     ++resp.models_pushed;
     resp.segments_pushed += pushed.segments;
-    failed += pushed.failed;
+    failed += pushed.failed.size();
   }
   for (ModelId owner : orphan_owners) {
     if (!responsible(owner)) continue;
@@ -1539,7 +1569,7 @@ sim::CoTask<Bytes> Provider::handle_repair(Bytes request,
                             req.provider_nodes, peers_of(owner),
                             span.context());
     resp.segments_pushed += pushed.segments;
-    failed += pushed.failed;
+    failed += pushed.failed.size();
   }
   // A push that did not land leaves the target short of models it owns:
   // report it, so the repair is not taken as complete (a replicate that

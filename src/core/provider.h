@@ -26,6 +26,7 @@
 #include "compress/chunker.h"
 #include "compress/codec.h"
 #include "compress/compressed_segment.h"
+#include "core/lcp.h"
 #include "core/placement.h"
 #include "core/wire.h"
 #include "net/rpc.h"
@@ -264,13 +265,16 @@ class Provider {
   void install_model(common::ModelId id, MetaRecord meta);
   /// Recompute every cached replica set if the membership changed.
   void refresh_placement();
-  /// Whether a scan covers `e`: its owner's share in a plain query
-  /// (`takeover` null), or in a takeover query the share of the out
-  /// providers that this provider inherits.
-  bool scans(const CatalogEntry& e,
-             const wire::LcpTakeoverRequest* takeover) const;
-  /// Algorithm 1 over the entries `scans` selects, reduced by lcp_outranks,
-  /// with the scan's CPU time charged.
+  /// The plain scan's rows: one per catalog entry this provider owns (first
+  /// in its replica set), rebuilt here when a catalog or placement change
+  /// left them stale.
+  const std::vector<LcpCandidate>& owned_rows();
+  /// Whether a takeover scan covers `e`: the share of the out providers
+  /// that this provider inherits.
+  bool takes_over(const CatalogEntry& e,
+                  const wire::LcpTakeoverRequest& takeover) const;
+  /// Algorithm 1 over the owned rows (`takeover` null) or the inherited
+  /// share, reduced by lcp_outranks, with the scan's CPU time charged.
   sim::CoTask<wire::LcpQueryResponse> scan_catalog(
       model::ArchGraph g, const wire::LcpTakeoverRequest* takeover,
       obs::TraceContext trace);
@@ -341,13 +345,13 @@ class Provider {
   /// locally stored segment owned by it) to each provider in `targets` via
   /// evostore.replicate. `peer_nodes` names where missing chunk bodies can
   /// be fetched besides this provider. Reports segments pushed (counted once
-  /// whatever the fan-out, for drain/repair reporting) and the pushes that
-  /// failed. `parent` parents the replicate RPC spans under the caller's
+  /// whatever the fan-out, for drain/repair reporting) and the targets the
+  /// push did not reach. `parent` parents the replicate RPC spans under the caller's
   /// drain / repair serve span (invalid roots them, matching the untraced
   /// path).
   struct PushResult {
     uint64_t segments = 0;
-    uint64_t failed = 0;
+    std::vector<common::ProviderId> failed;
   };
   sim::CoTask<PushResult> push_owner(common::ModelId id, bool with_meta,
                                    std::vector<common::ProviderId> targets,
@@ -383,6 +387,13 @@ class Provider {
   /// Membership version the cached replica sets in models_ were computed at.
   uint64_t placed_version_ = 0;
   std::unordered_map<common::ModelId, CatalogEntry> models_;
+  /// owned_rows()'s cache. Its graph pointers point into models_ (node
+  /// pointers survive rehashing), so every install, erase or clear of
+  /// models_ and every placement change must set owned_stale_.
+  std::vector<LcpCandidate> owned_;
+  bool owned_stale_ = true;
+  /// Scratch space of every scan; no scan suspends while using it.
+  LcpWorkspace lcp_ws_;
   std::unordered_map<common::SegmentKey, SegEntry> segments_;
   /// Retire tombstones: every model id a retire reached here, found or not.
   /// Durable as "tomb/<id>" records and never reaped (DESIGN.md §15), so a

@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/buffer.h"
 #include "common/fields.h"
@@ -190,8 +191,15 @@ class RpcSystem {
   obs::Histogram* hist_bulk_bytes_ = nullptr;
 };
 
-/// Convenience: encode a request struct, call, decode the response. Both
-/// types describe their layout with `fields()` (common/fields.h).
+/// A request encoded once and sent many times: the legs of a fan-out, and
+/// each leg's retries, share one buffer instead of re-encoding the message.
+struct EncodedRequest {
+  std::shared_ptr<const Bytes> bytes;
+};
+
+/// Convenience: encode a request struct (or take an EncodedRequest as is),
+/// call, decode the response. Both types describe their layout with
+/// `fields()` (common/fields.h).
 /// A malformed response is annotated with the method and target node so the
 /// failure is attributable without a packet trace.
 /// `rpc` is a pointer and `method` a by-value copy because both are used
@@ -202,8 +210,13 @@ sim::CoTask<Result<Response>> typed_call(RpcSystem* rpc, NodeId from, NodeId to,
                                          std::string method,
                                          const Request& request,
                                          CallOptions options = {}) {
-  auto raw =
-      co_await rpc->call(from, to, method, common::encode(request), options);
+  Bytes payload;
+  if constexpr (std::is_same_v<Request, EncodedRequest>) {
+    payload = *request.bytes;
+  } else {
+    payload = common::encode(request);
+  }
+  auto raw = co_await rpc->call(from, to, method, std::move(payload), options);
   if (!raw.ok()) co_return raw.status();
   common::Deserializer d(raw.value());
   auto resp = common::decode<Response>(d);

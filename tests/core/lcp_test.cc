@@ -253,6 +253,104 @@ TEST(Lcp, ReusedWorkspaceLengthMatchesFreshRun) {
   }
 }
 
+TEST(Lcp, ReusedWorkspaceAcrossQueriesOfDifferentSizes) {
+  // A provider keeps one workspace across every query it serves, so one
+  // workspace must stay exact as query and ancestor sizes change in both
+  // directions: its arrays only grow, and each run resets only what the
+  // previous run touched. Interleave small and large DeepSpace graphs, a
+  // long chain on the same input layer, and a graph whose root differs
+  // from all of them, and compare every ordered pair against a fresh run.
+  workload::DeepSpace small(workload::DeepSpaceConfig{.min_cells = 1,
+                                                      .max_cells = 3});
+  workload::DeepSpace large(workload::DeepSpaceConfig{.min_cells = 14,
+                                                      .max_cells = 20});
+  common::Xoshiro256 rng(29);
+  std::vector<ArchGraph> graphs;
+  for (int i = 0; i < 8; ++i) {
+    const workload::DeepSpace& space = i % 2 == 0 ? large : small;
+    auto s = space.random(rng);
+    graphs.push_back(space.decode_graph(s));
+    graphs.push_back(space.decode_graph(space.mutate(s, rng)));
+    if (i == 3) {
+      std::vector<model::LayerDef> defs{make_input(128)};
+      for (int l = 0; l < 60; ++l) defs.push_back(make_dense(128, 128));
+      graphs.push_back(chain(std::move(defs)));
+    }
+    if (i == 5) graphs.push_back(chain({make_input(3), make_dense(3, 8)}));
+  }
+  LcpWorkspace ws;
+  std::vector<std::pair<common::VertexId, common::VertexId>> pairs;
+  size_t after_mismatch = 0;
+  size_t after_larger = 0;
+  bool last_mismatched = false;
+  size_t last_size = 0;
+  const size_t n = graphs.size();
+  for (size_t i = 0; i < n * n; ++i) {
+    // Stride through the pairs so consecutive runs change both graphs.
+    const ArchGraph& g = graphs[i % n];
+    const ArchGraph& a = graphs[(i * 7 + i / n) % n];
+    LcpCost fresh_cost;
+    LcpCost reused_cost;
+    LcpResult fresh = longest_common_prefix(g, a, &fresh_cost);
+    size_t len = ws.prefix_length(g, a, &reused_cost);
+    ASSERT_EQ(len, fresh.length()) << "pair " << i;
+    ws.last_matches(&pairs);
+    ASSERT_EQ(pairs, fresh.matches) << "pair " << i;
+    ASSERT_EQ(reused_cost.vertex_visits, fresh_cost.vertex_visits)
+        << "pair " << i;
+    if (len > 0 && last_mismatched) ++after_mismatch;
+    if (len > 0 && last_size > g.size()) ++after_larger;
+    last_mismatched = len == 0;
+    last_size = g.size();
+  }
+  EXPECT_GT(after_mismatch, 0u);
+  EXPECT_GT(after_larger, 0u);
+}
+
+TEST(Lcp, ScanCandidatesMatchesBruteForceReduce) {
+  // The provider's scan step: the winner by (length, quality, lower id)
+  // over every candidate, with the winner's pairs from a fresh run.
+  workload::DeepSpace space;
+  common::Xoshiro256 rng(31);
+  std::vector<ArchGraph> catalog;
+  for (int i = 0; i < 40; ++i) {
+    auto s = space.random(rng);
+    catalog.push_back(space.decode_graph(s));
+    // Duplicates tie on length and quality: only the lower id may win.
+    if (i % 5 == 0) catalog.push_back(catalog.back());
+  }
+  std::vector<LcpCandidate> rows;
+  for (size_t i = 0; i < catalog.size(); ++i) {
+    // Ids descend as i grows, so the lower id is the later duplicate.
+    rows.push_back({common::ModelId::make(1, static_cast<uint32_t>(1000 - i)),
+                    &catalog[i], static_cast<double>(i / 2 % 4) / 4.0});
+  }
+  LcpWorkspace ws;
+  for (int q = 0; q < 20; ++q) {
+    ArchGraph query = space.decode_graph(space.random(rng));
+    const LcpCandidate* want = nullptr;
+    LcpResult want_r;
+    for (const LcpCandidate& c : rows) {
+      LcpResult r = longest_common_prefix(query, *c.graph);
+      if (r.length() == 0) continue;
+      if (want == nullptr || lcp_outranks(r.length(), c.quality, c.id,
+                                          want_r.length(), want->quality,
+                                          want->id)) {
+        want = &c;
+        want_r = std::move(r);
+      }
+    }
+    LcpCost cost;
+    LcpBest got = scan_candidates(query, rows, ws, &cost);
+    ASSERT_EQ(got.found, want != nullptr) << "query " << q;
+    EXPECT_GT(cost.vertex_visits, 0u);
+    if (want == nullptr) continue;
+    EXPECT_EQ(got.id, want->id) << "query " << q;
+    EXPECT_EQ(got.quality, want->quality) << "query " << q;
+    EXPECT_EQ(got.matches, want_r.matches) << "query " << q;
+  }
+}
+
 TEST(Lcp, OutranksOrdersByLengthThenQualityThenLowerId) {
   const common::ModelId lo = common::ModelId::make(1, 1);
   const common::ModelId hi = common::ModelId::make(1, 2);

@@ -55,8 +55,9 @@ struct ReplEnv {
   NodeId worker;
   std::unique_ptr<EvoStoreRepository> repo;
 
+  /// `backed` false runs in-memory providers: a restart loses everything.
   explicit ReplEnv(int providers, ProviderConfig config = {},
-                   size_t replication = 2)
+                   size_t replication = 2, bool backed = true)
       : fabric(sim,
                net::FabricConfig{.latency = 1.5e-6, .local_latency = 2e-7}),
         rpc(fabric),
@@ -67,7 +68,7 @@ struct ReplEnv {
     for (int i = 0; i < providers; ++i) {
       provider_nodes.push_back(fabric.add_node(25e9, 25e9));
       backends.push_back(std::make_unique<storage::MemKv>());
-      raw.push_back(backends.back().get());
+      raw.push_back(backed ? backends.back().get() : nullptr);
     }
     worker = fabric.add_node(25e9, 25e9);
     ClientConfig cc;
@@ -543,7 +544,8 @@ TEST(Replication, RetireTombstoneSurvivesCrashBeforeReplay) {
 // (prefix length, quality, lower id) over the LIVE catalog, never tagged
 // partial — after puts, a retire, a drain, a wipe-and-repair, and a
 // crash-restart from the backend; and inside the windows where a provider
-// cannot answer for the models it owns: during an outage, between a wiped
+// cannot answer for the models it owns: during an outage, between drains
+// whose pushes missed a down joiner and the joiner's repair, between a wiped
 // restart and its repair, after a repair whose pushes could not land,
 // between a put that left no hint for its owner and the owner's repair, and
 // between a crash-restart and its hint replays.
@@ -553,7 +555,7 @@ TEST(Replication, FindAncestorMatchesBruteForceThroughLifecycle) {
     double quality;
     model::ArchGraph graph;
   };
-  ReplEnv env(4);
+  ReplEnv env(5);
   workload::DeepSpace space;
   common::Xoshiro256 rng(21);
   std::vector<Entry> live;
@@ -635,7 +637,40 @@ TEST(Replication, FindAncestorMatchesBruteForceThroughLifecycle) {
   env.settle(0.1);
   EXPECT_FALSE(membership.is_recovering(kDown));
 
+  // Drain with a joiner down. The model `stranded` ranks providers 1 and 4
+  // first and 2 third, so draining 1 makes 2 its joiner. 2 is down and the
+  // push misses it; draining 4 next makes 2 its owner while 2 still lacks
+  // it. 2 stays awaiting repair, its share taken over, until a repair of it
+  // lands. The model equals query 2 with a top quality, so it is that
+  // query's answer.
+  constexpr ProviderId kJoiner = 2;
+  ModelId stranded_id = env.repo->allocate_id();
+  for (;; stranded_id = env.repo->allocate_id()) {
+    auto ranked = replicas_for(stranded_id, 5, 3);
+    if (std::min(ranked[0], ranked[1]) == 1 &&
+        std::max(ranked[0], ranked[1]) == 4 && ranked[2] == kJoiner) {
+      break;
+    }
+  }
+  model::Model stranded(stranded_id, space.decode_graph(queries[2]));
+  stranded.set_quality(0.98);
+  ASSERT_TRUE(env.run(env.put(stranded)).ok());
+  live.push_back({stranded.id(), stranded.quality(), stranded.graph()});
+  env.injector.crash_node(env.provider_nodes[kJoiner]);
   ASSERT_TRUE(env.run(env.repo->drain_provider(1)).ok());
+  env.injector.restart_node(env.provider_nodes[kJoiner]);
+  env.settle(0.1);
+  EXPECT_FALSE(env.repo->provider(kJoiner).has_model(stranded_id));
+  EXPECT_TRUE(membership.is_recovering(kJoiner));
+  expect_oracle("drain while a joiner was down");
+  ASSERT_TRUE(env.run(env.repo->drain_provider(4)).ok());
+  ASSERT_EQ(membership.replicas(stranded_id).front(), kJoiner);
+  EXPECT_FALSE(env.repo->provider(kJoiner).has_model(stranded_id));
+  EXPECT_TRUE(membership.is_recovering(kJoiner));
+  expect_oracle("joiner owns a model it lacks");
+  ASSERT_TRUE(env.run(env.repo->repair_provider(kJoiner)).ok());
+  EXPECT_FALSE(membership.is_recovering(kJoiner));
+  EXPECT_TRUE(env.repo->provider(kJoiner).has_model(stranded_id));
   expect_oracle("after drain");
 
   // Permanent loss of provider 0, rebuilt by anti-entropy repair.
@@ -764,6 +799,161 @@ TEST(Replication, LcpScansEachModelOnceWithOrWithoutAnOutage) {
   const ClientFaultStats faults = env.repo->total_client_fault_stats();
   EXPECT_EQ(faults.lcp_takeovers, kQueries);
   EXPECT_EQ(faults.partial_lcp_queries, 0u);
+}
+
+// The plain scan walks a cached list of the rows each provider owns. Every
+// change to a catalog or to placement must make that list follow: after
+// each one, a query gets the brute-force answer over the live catalog, and
+// each live model is scanned exactly once per query. Each change adds,
+// removes or moves the answer of some query, so a list left stale would
+// miss a model, scan a retired one, or scan a model twice.
+struct ScanOracle {
+  struct Entry {
+    ModelId id;
+    double quality;
+    model::ArchGraph graph;
+  };
+  ReplEnv& env;
+  std::vector<model::ArchGraph> queries;
+  std::vector<Entry> live;
+
+  uint64_t scanned() const {
+    uint64_t n = 0;
+    for (size_t p = 0; p < env.repo->provider_count(); ++p) {
+      n += env.repo->provider(p).stats().lcp_models_scanned;
+    }
+    return n;
+  }
+
+  void check(const std::string& phase) {
+    const uint64_t before = scanned();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Entry* best = nullptr;
+      LcpResult best_r;
+      for (const Entry& e : live) {
+        LcpResult r = longest_common_prefix(queries[i], e.graph);
+        if (r.length() == 0) continue;
+        if (best == nullptr ||
+            lcp_outranks(r.length(), e.quality, e.id, best_r.length(),
+                         best->quality, best->id)) {
+          best = &e;
+          best_r = std::move(r);
+        }
+      }
+      auto got = env.run(env.client().query_lcp(queries[i]));
+      ASSERT_TRUE(got.ok()) << phase << " query " << i;
+      EXPECT_FALSE(got->partial) << phase << " query " << i;
+      ASSERT_EQ(got->found, best != nullptr) << phase << " query " << i;
+      if (best == nullptr) continue;
+      EXPECT_EQ(got->ancestor, best->id) << phase << " query " << i;
+      EXPECT_EQ(got->matches, best_r.matches) << phase << " query " << i;
+    }
+    EXPECT_EQ(scanned() - before, live.size() * queries.size()) << phase;
+  }
+
+  /// Store query `q`'s own graph at the top quality, under an id whose
+  /// first replica is `owner`: that model becomes query `q`'s answer.
+  model::Model answer_for(size_t q, ProviderId owner, double quality) {
+    ModelId id = env.repo->allocate_id();
+    while (env.repo->membership().replicas(id).front() != owner) {
+      id = env.repo->allocate_id();
+    }
+    model::Model m(id, queries[q]);
+    m.set_quality(quality);
+    return m;
+  }
+
+  void put(const model::Model& m) {
+    ASSERT_TRUE(env.run(env.put(m)).ok());
+    live.push_back({m.id(), m.quality(), m.graph()});
+  }
+
+  void retire(ModelId id) {
+    ASSERT_TRUE(env.run(env.client().retire(id)).ok());
+    std::erase_if(live, [&](const Entry& e) { return e.id == id; });
+  }
+};
+
+ScanOracle populated_oracle(ReplEnv& env, uint64_t seed) {
+  ScanOracle o{env, {}, {}};
+  workload::DeepSpace space;
+  common::Xoshiro256 rng(seed);
+  for (int i = 0; i < 16; ++i) {
+    auto s = space.random(rng);
+    model::Model m(env.repo->allocate_id(), space.decode_graph(s));
+    m.set_quality(static_cast<double>(i % 4) / 8.0);
+    o.put(m);
+    o.queries.push_back(space.decode_graph(space.mutate(s, rng)));
+  }
+  return o;
+}
+
+TEST(Replication, OwnedScanRowsFollowEveryCatalogChange) {
+  ReplEnv env(4);
+  ScanOracle o = populated_oracle(env, 41);
+  o.check("after puts");
+
+  // put: a new model owned by each provider.
+  for (ProviderId p = 0; p < 4; ++p) o.put(o.answer_for(p, p, 0.9));
+  o.check("put");
+
+  // replicate install: a model that reaches its replicas only as
+  // anti-entropy pushes (no put).
+  model::Model pushed = o.answer_for(4, 1, 0.95);
+  wire::ReplicateRequest rr;
+  rr.has_meta = true;
+  rr.id = pushed.id();
+  rr.meta.graph = pushed.graph();
+  rr.meta.owners = OwnerMap::self_owned(pushed.id(), pushed.vertex_count());
+  rr.meta.quality = pushed.quality();
+  for (ProviderId p : env.repo->membership().replicas(pushed.id())) {
+    rr.source_node = env.worker;
+    ASSERT_TRUE(
+        deliver<wire::ReplicateResponse>(env, p, Provider::kReplicate, rr)
+            .ok());
+  }
+  o.live.push_back({pushed.id(), pushed.quality(), pushed.graph()});
+  o.check("replicate install");
+
+  // retire: the answer of query 0 leaves.
+  o.retire(o.live[16].id);
+  o.check("retire");
+
+  // restart: provider 2 restores its catalog from its backend.
+  env.injector.crash_node(env.provider_nodes[2]);
+  env.injector.restart_node(env.provider_nodes[2]);
+  env.settle(0.1);
+  ASSERT_FALSE(env.repo->membership().is_recovering(2));
+  o.check("restart");
+
+  // placement change alone: provider 3 leaves placement with its catalog
+  // still in place, so the next replica of each model it owned holds the
+  // model already and must now scan it.
+  env.repo->membership().retire_provider(3);
+  o.check("placement change");
+
+  // drain: the catalog moves to the joiners, and provider 3 is emptied.
+  ASSERT_TRUE(env.run(env.repo->drain_provider(3)).ok());
+  EXPECT_EQ(env.repo->provider(3).model_count(), 0u);
+  o.check("drain");
+}
+
+// An in-memory provider (k = 1) loses its whole catalog in a restart. With
+// one replica the restarted provider is still asked in the plain round, so
+// its scan list must be empty: the lost models are gone from the answer.
+TEST(Replication, RestartWithoutBackendEmptiesOwnedScanRows) {
+  ReplEnv env(3, {}, /*replication=*/1, /*backed=*/false);
+  ScanOracle o = populated_oracle(env, 43);
+  o.put(o.answer_for(0, 1, 0.9));
+  o.check("before restart");
+  env.injector.crash_node(env.provider_nodes[1]);
+  env.injector.restart_node(env.provider_nodes[1]);
+  env.settle(0.1);
+  ASSERT_EQ(env.repo->provider(1).model_count(), 0u);
+  std::erase_if(o.live, [&](const ScanOracle::Entry& e) {
+    return env.repo->membership().replicas(e.id).front() == 1;
+  });
+  o.check("after restart");
 }
 
 // Two providers recovering at once with k = 2: the models whose replicas
